@@ -13,17 +13,16 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import io
 import os
 import sys
-import tempfile
 import time
+import uuid
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
 from . import models as model_zoo
-from .lorenz import NonFinite, SERIES_NAMES, save_series_csv
+from .lorenz import NonFinite, SERIES_NAMES, euler_integrate, save_series_csv
 from .nn_core import grad_check, load_params_csv, param_count, save_params_csv
 from .train_eval import (
     SCENARIOS,
@@ -57,13 +56,15 @@ class UsageError(ValueError):
 # atomic file helpers
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, save) -> None:
+    """Create `path` by calling save(tmp) on a temp path beside it and
+    renaming that over `path`. The temp name is random, so runs writing
+    into one directory never share it, and a failed save leaves no file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex}")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        save(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,11 +73,13 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def write_csv_atomic(path: str, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_atomic(path, buf.getvalue())
+    def save(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    _write_atomic(path, save)
 
 
 def _fmt(value) -> str:
@@ -95,7 +98,12 @@ def write_meta(path: str, record: dict, comments: dict | None = None) -> None:
     lines = [f"{key} = {_fmt(value)}" for key, value in record.items()]
     for key, value in (comments or {}).items():
         lines.append(f"# {key} = {_fmt(value)}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+
+    def save(tmp):
+        with open(tmp, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    _write_atomic(path, save)
 
 
 def read_meta(path: str) -> dict[str, str]:
@@ -160,17 +168,12 @@ def resolve_out_dir(arg: str | None, default_name: str) -> str:
 
 
 def cmd_generate(args) -> int:
-    from .train_eval import SCENARIOS  # registry may be extended at runtime
     scenario = SCENARIOS[args.scenario]
     out_dir = resolve_out_dir(args.out, f"generate-{scenario.name}")
-    os.makedirs(out_dir, exist_ok=True)
-
-    from .lorenz import euler_integrate
     n_points = args.points
     series = euler_integrate(scenario.init, scenario.params).truncate(n_points)
-    save_series_csv(series, os.path.join(out_dir, "trajectory.csv.tmp"))
-    os.replace(os.path.join(out_dir, "trajectory.csv.tmp"),
-               os.path.join(out_dir, "trajectory.csv"))
+    _write_atomic(os.path.join(out_dir, "trajectory.csv"),
+                  lambda tmp: save_series_csv(series, tmp))
     for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
         rows = zip(
             (f"{v:.17g}" for v in series.series(a)),
@@ -206,11 +209,8 @@ def _train_overrides(args) -> dict:
 
 def _write_run_outputs(out_dir: str, config: TrainConfig, result,
                        report) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    save_params_csv(result.model.params,
-                    os.path.join(out_dir, "checkpoint.csv.tmp"))
-    os.replace(os.path.join(out_dir, "checkpoint.csv.tmp"),
-               os.path.join(out_dir, "checkpoint.csv"))
+    _write_atomic(os.path.join(out_dir, "checkpoint.csv"),
+                  lambda tmp: save_params_csv(result.model.params, tmp))
 
     record = {"command": "train"}
     for f in dataclass_fields(TrainConfig):
@@ -290,7 +290,6 @@ def cmd_eval(args) -> int:
             "seed": config.seed}
     report = evaluate(model, test_ds, scale=scaled.scale, info=info)
     out_dir = args.out or run_dir
-    os.makedirs(out_dir, exist_ok=True)
     rows = [[_fmt(row[c]) for c in REPORT_COLUMNS] for row in report.rows()]
     write_csv_atomic(os.path.join(out_dir, "eval_report.csv"),
                      REPORT_COLUMNS, rows)
@@ -301,14 +300,6 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------------------
 # grad-check
-
-
-def _randomize_params(params, rng) -> None:
-    # weights AND biases drawn at O(1) scale, so no gradient sits at the
-    # finite-difference noise floor
-    from .nn_core import named_parameters
-    for _, arr, _ in named_parameters(params):
-        arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
 
 
 def _grad_check_case(name: str, seed: int):
@@ -333,15 +324,19 @@ def _grad_check_case(name: str, seed: int):
         targets = rng.uniform(-0.5, 0.5, size=(3, 1))
     else:
         raise UsageError(f"unknown grad-check case {name!r}")
-    _randomize_params(model.params, rng)
+    # weights and biases alike drawn at O(1) scale
+    model.params.theta[...] = rng.uniform(-0.5, 0.5, size=model.params.theta.size)
 
     def loss_fn():
+        return mae_loss(model.forward(inputs, training=False)[0], targets)[0]
+
+    def backward_fn():
         preds, cache = model.forward(inputs, training=False)
         loss, d_preds = mae_loss(preds, targets)
         model.backward(d_preds, cache)
         return loss
 
-    error = grad_check(loss_fn, model.params, eps=1e-5)
+    error = grad_check(loss_fn, model.params, backward_fn, eps=1e-5)
     return error, param_count(model.params)
 
 

@@ -26,6 +26,7 @@ from .nn_core import (
     ConvLayerParams,
     DenseParams,
     LstmCellParams,
+    ParamStore,
     ShapeMismatch,
     conv1d_backward,
     conv1d_forward,
@@ -76,7 +77,7 @@ class WaveNetConfig:
         return self.kernel_size * 2 ** (self.n_layers - 1)
 
 
-class WaveNetParams:
+class WaveNetParams(ParamStore):
     """Input 1x1 conv, L dilated convs, L skip 1x1 convs, one head per task."""
 
     def __init__(self, config: WaveNetConfig):
@@ -89,20 +90,16 @@ class WaveNetParams:
         ]
         self.skips = [ConvLayerParams(m, m, 1) for _ in range(config.n_layers)]
         self.heads = [ConvLayerParams(1, m, 1) for _ in range(config.n_tasks)]
-
-    def blocks(self):
-        out = [("input_conv", self.input_conv)]
-        out += [(f"dilated_{l + 1}", p) for l, p in enumerate(self.dilated)]
-        out += [(f"skip_{l + 1}", p) for l, p in enumerate(self.skips)]
-        out += [(f"head_{j}", p) for j, p in enumerate(self.heads)]
-        return out
+        super().__init__(
+            [("input_conv", self.input_conv)]
+            + [(f"dilated_{l + 1}", p) for l, p in enumerate(self.dilated)]
+            + [(f"skip_{l + 1}", p) for l, p in enumerate(self.skips)]
+            + [(f"head_{j}", p) for j, p in enumerate(self.heads)]
+        )
 
     def conv_kernels(self):
         """(kernel, grad) pairs for the L2 penalty (kernels only, no biases)."""
-        pairs = []
-        for _, block in self.blocks():
-            pairs.append((block.kernel, block.grads["kernel"]))
-        return pairs
+        return [(block.kernel, block.grads["kernel"]) for _, block in self.blocks]
 
 
 def init_wavenet(config: WaveNetConfig, seed: int,
@@ -110,7 +107,7 @@ def init_wavenet(config: WaveNetConfig, seed: int,
     params = WaveNetParams(config)
     specs = []
     kernels = []
-    for _, block in params.blocks():
+    for _, block in params.blocks:
         out_c, in_c, k = block.kernel.shape
         specs.append((block.kernel.shape, in_c * k, out_c * k))
         kernels.append(block.kernel)
@@ -212,7 +209,7 @@ class WaveNetModel:
 # LSTM forecaster
 
 
-class LstmModelParams:
+class LstmModelParams(ParamStore):
     """One LSTM cell (features -> hidden) plus a dense head (hidden -> 1)."""
 
     def __init__(self, n_features: int, n_hidden: int = 25,
@@ -222,9 +219,7 @@ class LstmModelParams:
         self.dropout_rate = dropout_rate
         self.cell = LstmCellParams(n_features, n_hidden)
         self.head = DenseParams(n_hidden, 1)
-
-    def blocks(self):
-        return [("cell", self.cell), ("head", self.head)]
+        super().__init__([("cell", self.cell), ("head", self.head)])
 
 
 def init_lstm(n_features: int, seed: int, n_hidden: int = 25,
@@ -309,7 +304,7 @@ class LstmModel:
 # 1992 feed-forward baseline
 
 
-class FfnParams:
+class FfnParams(ParamStore):
     """dense(5 -> 3) + sigmoid, then linear dense(3 -> 1)."""
 
     WINDOW = 5
@@ -317,9 +312,7 @@ class FfnParams:
     def __init__(self):
         self.hidden = DenseParams(self.WINDOW, 3)
         self.out = DenseParams(3, 1)
-
-    def blocks(self):
-        return [("hidden", self.hidden), ("out", self.out)]
+        super().__init__([("hidden", self.hidden), ("out", self.out)])
 
 
 def init_ffn(seed: int, variant: str = "xavier") -> FfnParams:

@@ -1,16 +1,19 @@
 """Dense-array layer primitives with exact forward math and hand-derived
 backward passes.
 
-Everything runs in double precision on plain numpy arrays. Each parameter
-array has a same-shape gradient buffer; backward passes *add* into those
-buffers, so callers zero them between optimizer steps. The 1-D convolution
-is the cross-correlation s(i) = sum_c sum_j input[c, i + d*j] * w[c, j] + b
-(no kernel flipping), with dilation d skipping input positions.
+Everything runs in double precision on plain numpy arrays. A model's
+parameters live in one flat vector and its gradients in a second one of
+the same size; each layer array is a named view into them. Backward
+passes *add* into the gradient views, so callers zero the gradient vector
+between optimizer steps. The 1-D convolution is the cross-correlation
+s(i) = sum_c sum_j input[c, i + d*j] * w[c, j] + b (no kernel flipping),
+with dilation d skipping input positions.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -20,28 +23,48 @@ class ShapeMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# parameter store
 
 
 class ParamBlock:
-    """Named parameter arrays, each paired with a same-shape gradient buffer."""
+    """Named parameter arrays stored back to back in one flat float64
+    vector `theta`, with their gradients at the same offsets in `grad`.
 
-    def __init__(self):
-        self._names: list[str] = []
-        self.grads: dict[str, np.ndarray] = {}
+    `layout` lists (name, shape) in storage order. Each array and its
+    gradient buffer `grads[name]` are C-contiguous views into the two
+    vectors, so layer code reads and accumulates into the store directly.
+    """
 
-    def _register(self, name: str, array: np.ndarray) -> np.ndarray:
-        setattr(self, name, array)
-        self._names.append(name)
-        self.grads[name] = np.zeros_like(array)
-        return array
+    def __init__(self, layout):
+        self.layout = list(layout)
+        size = sum(math.prod(shape) for _, shape in self.layout)
+        self.bind(np.zeros(size), np.zeros(size))
 
-    def arrays(self):
-        return [(name, getattr(self, name)) for name in self._names]
+    def bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Re-point every array at its slice of `theta` and `grad`."""
+        self.theta, self.grad, self.grads = theta, grad, {}
+        for name, arr, g in named_parameters(self):
+            setattr(self, name, arr)
+            self.grads[name] = g
 
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+
+class ParamStore:
+    """One model's parameter vector, shared by its (prefix, ParamBlock)
+    blocks: their arrays are laid out in block order, named
+    `prefix.name`, and every block is bound to its slice of the store."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        self.layout = [(f"{prefix}.{name}", shape)
+                       for prefix, block in self.blocks
+                       for name, shape in block.layout]
+        self.theta = np.concatenate([block.theta for _, block in self.blocks])
+        self.grad = np.zeros_like(self.theta)
+        offset = 0
+        for _, block in self.blocks:
+            end = offset + block.theta.size
+            block.bind(self.theta[offset:end], self.grad[offset:end])
+            offset = end
 
 
 class ConvLayerParams(ParamBlock):
@@ -49,15 +72,11 @@ class ConvLayerParams(ParamBlock):
 
     def __init__(self, out_channels: int, in_channels: int, kernel_size: int,
                  dilation: int = 1):
-        super().__init__()
         if kernel_size < 1 or dilation < 1:
             raise ValueError("kernel_size and dilation must be >= 1")
         self.dilation = dilation
-        self._register(
-            "kernel",
-            np.zeros((out_channels, in_channels, kernel_size), dtype=np.float64),
-        )
-        self._register("bias", np.zeros(out_channels, dtype=np.float64))
+        super().__init__([("kernel", (out_channels, in_channels, kernel_size)),
+                          ("bias", (out_channels,))])
 
     @property
     def out_channels(self) -> int:
@@ -76,9 +95,7 @@ class DenseParams(ParamBlock):
     """Affine map parameters: weights (n_in, n_out), bias (n_out,)."""
 
     def __init__(self, n_in: int, n_out: int):
-        super().__init__()
-        self._register("weights", np.zeros((n_in, n_out), dtype=np.float64))
-        self._register("bias", np.zeros(n_out, dtype=np.float64))
+        super().__init__([("weights", (n_in, n_out)), ("bias", (n_out,))])
 
 
 LSTM_GATES = ("i", "f", "o", "c")
@@ -92,34 +109,34 @@ class LstmCellParams(ParamBlock):
     """
 
     def __init__(self, n_features: int, n_hidden: int):
-        super().__init__()
         self.n_features = n_features
         self.n_hidden = n_hidden
-        for g in LSTM_GATES:
-            self._register(f"W_{g}x", np.zeros((n_hidden, n_features), dtype=np.float64))
-            self._register(f"W_{g}h", np.zeros((n_hidden, n_hidden), dtype=np.float64))
-            self._register(f"b_{g}", np.zeros(n_hidden, dtype=np.float64))
+        super().__init__([
+            entry for g in LSTM_GATES for entry in (
+                (f"W_{g}x", (n_hidden, n_features)),
+                (f"W_{g}h", (n_hidden, n_hidden)),
+                (f"b_{g}", (n_hidden,)),
+            )
+        ])
 
 
 def named_parameters(params):
-    """Flat (name, array, grad) triples for a ParamBlock or a composite
-    exposing blocks() -> [(prefix, ParamBlock)]."""
-    if isinstance(params, ParamBlock):
-        for name, arr in params.arrays():
-            yield name, arr, params.grads[name]
-    else:
-        for prefix, block in params.blocks():
-            for name, arr in block.arrays():
-                yield f"{prefix}.{name}", arr, block.grads[name]
+    """(name, array, grad) triples of a ParamBlock or ParamStore, in storage
+    order; both arrays are views into params.theta and params.grad."""
+    offset = 0
+    for name, shape in params.layout:
+        end = offset + math.prod(shape)
+        yield (name, params.theta[offset:end].reshape(shape),
+               params.grad[offset:end].reshape(shape))
+        offset = end
 
 
 def zero_grads(params):
-    for _, _, g in named_parameters(params):
-        g[...] = 0.0
+    params.grad.fill(0.0)
 
 
 def param_count(params) -> int:
-    return sum(arr.size for _, arr, _ in named_parameters(params))
+    return params.theta.size
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +166,6 @@ def sigmoid(x):
 
 def sigmoid_grad(y):
     return y * (1.0 - y)
-
-
-def tanh(x):
-    return np.tanh(x)
 
 
 def tanh_grad(y):
@@ -351,33 +364,42 @@ def lstm_sequence_backward(dh_T, caches, params: LstmCellParams, dc_T=None):
 # finite-difference gradient verification
 
 
-def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
-    """Central-difference check of every parameter gradient.
+# A gap of up to this many round-off estimates counts as exact (see grad_check).
+ROUNDOFF_C = 4.0
 
-    loss_fn() must run a full forward+backward pass with the current
-    parameter values, accumulating into the gradient buffers of `params`,
-    and return the scalar loss. Returns the max relative error
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
+
+def grad_check(loss_fn, params, backward_fn, eps: float = 1e-5) -> float:
+    """Central-difference check of every entry of params.theta.
+
+    backward_fn() runs one forward+backward pass at the current parameters,
+    accumulating into params.grad, and returns the loss L; it is called
+    once. loss_fn() returns the loss only; it is called twice per entry,
+    with that entry moved by +eps and -eps.
+
+    Each loss carries a rounding error of about u|L| (u = machine epsilon),
+    so the central difference carries about n = 2 u |L| / eps. An entry
+    whose gap |analytic - numeric| is at most ROUNDOFF_C * n counts as
+    exact. Returns the max over the other entries of the relative error
+    |analytic - numeric| / max(|analytic|, |numeric|), or 0.
     """
-    triples = list(named_parameters(params))
     zero_grads(params)
-    loss_fn()
-    analytic = {name: g.copy() for name, _, g in triples}
+    loss = backward_fn()
+    analytic = params.grad.copy()
+    zero_grads(params)
+    roundoff = ROUNDOFF_C * 2.0 * np.finfo(np.float64).eps * abs(loss) / eps
+    theta = params.theta
     max_rel = 0.0
-    for name, arr, _ in triples:
-        flat = arr.reshape(-1)
-        an = analytic[name].reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            loss_plus = loss_fn()
-            flat[idx] = orig - eps
-            loss_minus = loss_fn()
-            flat[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            rel = abs(an[idx] - numeric) / max(abs(an[idx]), abs(numeric), 1e-12)
-            max_rel = max(max_rel, rel)
-    zero_grads(params)
+    for idx in range(theta.size):
+        orig = theta[idx]
+        theta[idx] = orig + eps
+        loss_plus = loss_fn()
+        theta[idx] = orig - eps
+        loss_minus = loss_fn()
+        theta[idx] = orig
+        numeric = (loss_plus - loss_minus) / (2.0 * eps)
+        gap = abs(analytic[idx] - numeric)
+        if gap > roundoff:
+            max_rel = max(max_rel, gap / max(abs(analytic[idx]), abs(numeric)))
     return max_rel
 
 
@@ -385,37 +407,33 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
 # checkpoint serialization
 
 
+CHECKPOINT_HEADER = ["layer_name", "index", "value"]
+
+
+def _entries(params) -> list[tuple[str, int]]:
+    """(layer_name, index) of every entry of params.theta, in order."""
+    return [(name, idx) for name, shape in params.layout
+            for idx in range(math.prod(shape))]
+
+
 def save_params_csv(params, path) -> None:
-    """Flat `layer_name,index,value` rows, 17 significant digits."""
+    """One `layer_name,index,value` row per entry of params.theta, at 17
+    significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["layer_name", "index", "value"])
-        for name, arr, _ in named_parameters(params):
-            for idx, value in enumerate(arr.reshape(-1)):
-                writer.writerow([name, idx, f"{value:.17g}"])
+        writer.writerow(CHECKPOINT_HEADER)
+        writer.writerows([name, idx, f"{value:.17g}"]
+                         for (name, idx), value in zip(_entries(params), params.theta))
 
 
 def load_params_csv(params, path) -> None:
-    """Fill the arrays of an already-constructed `params` in place."""
-    values: dict[str, dict[int, float]] = {}
+    """Fill params.theta in place from a checkpoint of the same layout."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["layer_name", "index", "value"]:
-            raise ValueError(f"unexpected header {header!r}")
-        for name, idx, value in reader:
-            values.setdefault(name, {})[int(idx)] = float(value)
-    for name, arr, _ in named_parameters(params):
-        if name not in values:
-            raise ValueError(f"checkpoint is missing array {name!r}")
-        entries = values.pop(name)
-        if len(entries) != arr.size:
-            raise ValueError(
-                f"array {name!r} expects {arr.size} values, checkpoint has "
-                f"{len(entries)}"
-            )
-        flat = arr.reshape(-1)
-        for idx, value in entries.items():
-            flat[idx] = value
-    if values:
-        raise ValueError(f"checkpoint has unknown arrays: {sorted(values)}")
+        rows = list(csv.reader(fh))
+    if rows[:1] != [CHECKPOINT_HEADER]:
+        raise ValueError(f"unexpected header {rows[:1]!r}")
+    if [(name, int(idx)) for name, idx, _ in rows[1:]] != _entries(params):
+        raise ValueError(
+            f"checkpoint rows do not match the model's {params.theta.size} parameters"
+        )
+    params.theta[...] = [float(value) for _, _, value in rows[1:]]

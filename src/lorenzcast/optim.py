@@ -1,9 +1,10 @@
-"""Initialization schemes, SGD/Adam updates and the L2 weight penalty.
+"""Initialization schemes, the Adam update and the L2 weight penalty.
 
-Updates operate on parallel lists of parameter and gradient arrays so the
-same code serves every model family. Reproducibility: every draw comes from
-a PCG64 generator seeded through numpy SeedSequence spawning, one child
-stream per array, so a single master seed fixes all initial weights.
+Updates operate on parallel lists of parameter and gradient arrays; a
+model trains with one-element lists holding its flat parameter and
+gradient vectors. Reproducibility: every draw comes from a PCG64 generator
+seeded through numpy SeedSequence spawning, one child stream per array,
+so a single master seed fixes all initial weights.
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ def _check_pairs(params, grads):
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeMismatch(f"param shape {p.shape} vs grad shape {g.shape}")
-
-
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
-    _check_pairs(params, grads)
-    for p, g in zip(params, grads):
-        p -= lr * g
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],

@@ -25,7 +25,7 @@ from .lorenz import (
     make_windows,
     rescale_series_set,
 )
-from .nn_core import named_parameters, zero_grads
+from .nn_core import zero_grads
 from .optim import AdamState, adam_step, l2_grad
 
 
@@ -280,10 +280,8 @@ def train(config: TrainConfig) -> TrainResult:
     train_ds, test_ds, scaled = prepare_data(config)
     model = build_model(config)
 
-    triples = list(named_parameters(model.params))
-    param_arrays = [arr for _, arr, _ in triples]
-    grad_arrays = [g for _, _, g in triples]
-    adam = AdamState(param_arrays, alpha=config.learning_rate)
+    theta, grad = model.params.theta, model.params.grad
+    adam = AdamState([theta], alpha=config.learning_rate)
     l2_pairs = model.l2_arrays()
 
     # independent, seed-derived streams for batch order and dropout masks
@@ -328,7 +326,7 @@ def train(config: TrainConfig) -> TrainResult:
                 weights = [w for w, _ in l2_pairs]
                 w_grads = [g for _, g in l2_pairs]
                 l2_grad(weights, w_grads, config.l2_lambda)
-            adam_step(param_arrays, grad_arrays, adam)
+            adam_step([theta], [grad], adam)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
 

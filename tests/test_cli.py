@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 
 import numpy as np
@@ -119,6 +120,61 @@ def test_train_epochs_zero_report_matches_eval_of_init(tmp_path):
     eval_rows = _read_csv(out / "eval_report.csv")
     # identical apart from the wall_seconds column
     assert train_rows[1][:-1] == eval_rows[1][:-1]
+
+
+# sha256 of checkpoint.csv and predictions_x.csv after 3 epochs at seed 1234.
+# They were taken from the per-array parameter code that the flat store
+# replaced, and the store must reproduce them exactly: a store that
+# reorders the layers or drifts by one ulp fails here.
+GOLDEN_3_EPOCHS = [
+    (["--model", "wavenet", "--conditional"],
+     "74b6a9ceea389dd49eed975014a2075fa63c9cb5afcb11f978968f8703a8dad7",
+     "ad6463663dfc766410d6a5f97423c5d089b87a8c074b3bd0bef913fd7415535e"),
+    (["--model", "lstm", "--conditional"],
+     "a95379511d7a32825bacf63fe6f607be7c455f2475ffa4ee866708731e04237e",
+     "517b11286b4b0e051eec17b078f045059ee69f43e7f7ae455bd74dd7ac256a09"),
+    (["--model", "ffn"],
+     "b7d0fff0c3ff87a8dd6b056f54cda94f096fb45f55bd5a0a63552283e0beaf4d",
+     "2f34374662df8671237c873d5b8a6fa86a60214dc73edc37777012e65fe92944"),
+]
+
+
+@pytest.mark.parametrize("model_args,checkpoint,predictions", GOLDEN_3_EPOCHS)
+def test_train_outputs_match_pinned_bytes(tmp_path, model_args, checkpoint,
+                                          predictions):
+    out = _train(tmp_path, "run", *model_args, "--target", "x",
+                 "--scenario", "A", "--seed", "1234", "--epochs", "3")
+    sha = {name: hashlib.sha256(_read_bytes(out / name)).hexdigest()
+           for name in ("checkpoint.csv", "predictions_x.csv")}
+    assert sha == {"checkpoint.csv": checkpoint, "predictions_x.csv": predictions}
+
+    # load -> save through a fresh model's store gives the same bytes
+    config = cli.config_from_record(cli.read_meta(out / "run_meta.txt"))
+    model = cli.build_model(config)
+    cli.load_params_csv(model.params, out / "checkpoint.csv")
+    cli.save_params_csv(model.params, tmp_path / "again.csv")
+    assert _read_bytes(tmp_path / "again.csv") == _read_bytes(out / "checkpoint.csv")
+
+
+def test_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
+    def failing_save(params, path):
+        with open(path, "w") as fh:
+            fh.write("layer_name,index,value\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_params_csv", failing_save)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out", str(out), "--model", "ffn",
+                     "--epochs", "1"]) == cli.EXIT_IO
+    assert os.listdir(out) == []
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    out = _train(tmp_path, "run", "--model", "ffn", "--epochs", "1")
+    umask = os.umask(0)
+    os.umask(umask)
+    for name in os.listdir(out):
+        assert os.stat(out / name).st_mode & 0o777 == 0o666 & ~umask, name
 
 
 def test_eval_missing_run_dir_io_error(tmp_path):

@@ -83,12 +83,15 @@ def test_wavenet_grad_check_all_variants():
         targets = rng.uniform(-0.5, 0.5, size=(3, n_tasks))
 
         def loss():
+            return mae_loss(mz.wavenet_forward(x, params)[0], targets)[0]
+
+        def backward():
             preds, cache = mz.wavenet_forward(x, params)
             value, d_preds = mae_loss(preds, targets)
             mz.wavenet_backward(d_preds, cache, params)
             return value
 
-        assert grad_check(loss, params, eps=1e-5) < 1e-5, (in_c, n_tasks, stack)
+        assert grad_check(loss, params, backward, eps=1e-5) < 1e-5, (in_c, n_tasks, stack)
 
 
 def test_wavenet_zero_upstream_zero_grads():
@@ -238,12 +241,15 @@ def test_lstm_model_grad_check():
     targets = rng.uniform(-0.5, 0.5, size=(3, 1))
 
     def loss():
+        return mae_loss(mz.lstm_model_forward(x, params, training=False)[0], targets)[0]
+
+    def backward():
         preds, cache = mz.lstm_model_forward(x, params, training=False)
         value, d_preds = mae_loss(preds, targets)
         mz.lstm_model_backward(d_preds, cache, params)
         return value
 
-    assert grad_check(loss, params, eps=1e-5) < 1e-4
+    assert grad_check(loss, params, backward, eps=1e-5) < 1e-4
 
 
 def test_lstm_carry_state_shapes():
@@ -275,17 +281,38 @@ def test_ffn_grad_check():
     targets = rng.uniform(-0.5, 0.5, size=(4, 1))
 
     def loss():
+        return mae_loss(mz.ffn_forward(x, params)[0], targets)[0]
+
+    def backward():
         preds, cache = mz.ffn_forward(x, params)
         value, d_preds = mae_loss(preds, targets)
         mz.ffn_backward(d_preds, cache, params)
         return value
 
-    assert grad_check(loss, params, eps=1e-5) < 1e-6
+    assert grad_check(loss, params, backward, eps=1e-5) < 1e-6
 
 
 def test_ffn_rejects_wrong_window():
     with pytest.raises(ShapeMismatch):
         mz.ffn_forward(np.zeros((2, 1, 6)), mz.FfnParams())
+
+
+# ---------------------------------------------------------------------------
+# parameter store
+
+
+def test_model_blocks_share_the_model_vector():
+    params = mz.LstmModelParams(1)
+    names = [name for name, _, _ in named_parameters(params)]
+    assert names[:3] == ["cell.W_ix", "cell.W_ih", "cell.b_i"]
+    assert names[-2:] == ["head.weights", "head.bias"]
+    params.theta[...] = np.arange(params.theta.size)
+    assert params.cell.W_ix[0, 0] == 0.0
+    assert params.head.bias[0] == params.theta.size - 1
+    params.cell.grads["b_f"][...] = 1.0
+    assert params.grad.sum() == 25.0
+    zero_grads(params)
+    assert not params.cell.grads["b_f"].any()
 
 
 # ---------------------------------------------------------------------------

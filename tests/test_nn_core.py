@@ -197,6 +197,28 @@ def test_conv_adjoint_consistency(seed):
 
 
 # ---------------------------------------------------------------------------
+# parameter store
+
+
+def test_block_arrays_are_views_into_one_vector():
+    params = LstmCellParams(2, 3)
+    params.theta[...] = np.arange(params.theta.size)
+    offset = 0
+    for name, arr, g in named_parameters(params):
+        assert arr.flags.c_contiguous and np.shares_memory(arr, params.theta)
+        assert np.shares_memory(g, params.grad)
+        assert np.array_equal(arr.reshape(-1),
+                              np.arange(offset, offset + arr.size))
+        assert np.shares_memory(getattr(params, name), arr)
+        assert np.shares_memory(params.grads[name], g)
+        offset += arr.size
+    assert offset == params.theta.size == param_count(params)
+    params.grad[...] = 1.0
+    zero_grads(params)
+    assert not params.grad.any()
+
+
+# ---------------------------------------------------------------------------
 # activations
 
 
@@ -259,12 +281,13 @@ def test_dense_backward_finite_differences():
     proj = rng.normal(size=(3, 1))
 
     def loss():
-        zero_grads(params)
-        out = dense_forward(x, params)
-        dense_backward(proj, x, params)
-        return float(np.sum(proj * out))
+        return float(np.sum(proj * dense_forward(x, params)))
 
-    assert grad_check(loss, params, eps=1e-5) < 1e-6
+    def backward():
+        dense_backward(proj, x, params)
+        return loss()
+
+    assert grad_check(loss, params, backward, eps=1e-5) < 1e-6
 
 
 def test_dense_shape_mismatch():
@@ -311,11 +334,14 @@ def test_lstm_cell_gradients_finite_differences():
     c0 = rng.uniform(-1, 1, size=(2, 3))
 
     def loss():
+        return float(np.sum(lstm_cell_forward(x, h0, c0, params)[0]))
+
+    def backward():
         h, _, cache = lstm_cell_forward(x, h0, c0, params)
         nn_core.lstm_cell_backward(np.ones_like(h), np.zeros_like(h), cache, params)
         return float(np.sum(h))
 
-    assert grad_check(loss, params, eps=1e-5) < 1e-5
+    assert grad_check(loss, params, backward, eps=1e-5) < 1e-5
 
 
 def test_lstm_sequence_length_one_equals_cell():
@@ -350,11 +376,14 @@ def test_lstm_sequence_bptt_finite_differences():
     c0 = np.zeros((1, 25))
 
     def loss():
+        return float(np.sum(lstm_sequence_forward(x, h0, c0, params)[0]))
+
+    def backward():
         h_T, _, caches = lstm_sequence_forward(x, h0, c0, params)
         lstm_sequence_backward(np.ones_like(h_T), caches, params)
         return float(np.sum(h_T))
 
-    assert grad_check(loss, params, eps=1e-5) < 1e-4
+    assert grad_check(loss, params, backward, eps=1e-5) < 1e-4
 
 
 def test_lstm_shape_mismatch():
@@ -380,11 +409,13 @@ def test_grad_check_exact_for_linear_model():
     proj = rng.uniform(0.5, 1.0, size=(3, 2))
 
     def loss():
-        out = dense_forward(x, params)
-        dense_backward(proj, x, params)
-        return float(np.sum(proj * out))
+        return float(np.sum(proj * dense_forward(x, params)))
 
-    assert grad_check(loss, params, eps=1e-4) < 1e-9
+    def backward():
+        dense_backward(proj, x, params)
+        return loss()
+
+    assert grad_check(loss, params, backward, eps=1e-4) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from lorenzcast.optim import (
     init_params,
     l2_grad,
     l2_penalty,
-    sgd_step,
     xavier_uniform,
 )
 
@@ -60,28 +59,6 @@ def test_init_scheme_validates_variant():
 def test_init_zeros():
     (arr,) = init_params([((3, 3), 3, 3)], InitScheme("zeros", 0))
     assert np.array_equal(arr, np.zeros((3, 3)))
-
-
-# ---------------------------------------------------------------------------
-# sgd
-
-
-def test_sgd_zero_lr_no_change():
-    p = [np.array([1.0, 2.0])]
-    sgd_step(p, [np.array([5.0, -5.0])], lr=0.0)
-    assert np.array_equal(p[0], [1.0, 2.0])
-
-
-def test_sgd_hand_value():
-    p = [np.array([1.0])]
-    sgd_step(p, [np.array([2.0])], lr=0.1)
-    assert np.allclose(p[0], [0.8], atol=1e-15)
-
-
-def test_sgd_zero_gradient_no_change():
-    p = [np.array([3.0, -1.0])]
-    sgd_step(p, [np.zeros(2)], lr=0.5)
-    assert np.array_equal(p[0], [3.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
