@@ -148,7 +148,10 @@ def config_from_record(record: dict[str, str],
             continue
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, raw)
+        try:
+            kwargs[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from None
     for key, value in (overrides or {}).items():
         if value is not None:
             kwargs[key] = value
@@ -170,8 +173,11 @@ def resolve_out_dir(arg: str | None, default_name: str) -> str:
 def cmd_generate(args) -> int:
     scenario = SCENARIOS[args.scenario]
     out_dir = resolve_out_dir(args.out, f"generate-{scenario.name}")
-    n_points = args.points
-    series = euler_integrate(scenario.init, scenario.params).truncate(n_points)
+    series = euler_integrate(scenario.init, scenario.params)
+    if not 1 <= args.points <= len(series):
+        raise UsageError(f"--points must be in [1, {len(series)}] for scenario "
+                         f"{scenario.name}")
+    series = series.truncate(args.points)
     _write_atomic(os.path.join(out_dir, "trajectory.csv"),
                   lambda tmp: save_series_csv(series, tmp))
     for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
@@ -183,7 +189,7 @@ def cmd_generate(args) -> int:
     write_meta(os.path.join(out_dir, "run_meta.txt"), {
         "command": "generate",
         "scenario": scenario.name,
-        "points": n_points,
+        "points": len(series),
         "sigma": scenario.params.sigma,
         "rho": scenario.params.rho,
         "beta": scenario.params.beta,
@@ -192,7 +198,7 @@ def cmd_generate(args) -> int:
         "init_y": scenario.init.y,
         "init_z": scenario.init.z,
     })
-    print(f"wrote {n_points}-row trajectory and pairwise files to {out_dir}")
+    print(f"wrote {len(series)}-row trajectory and pairwise files to {out_dir}")
     return EXIT_OK
 
 
@@ -264,6 +270,8 @@ def _write_predictions(out_dir: str, config: TrainConfig, result) -> None:
 def cmd_train(args) -> int:
     record = read_meta(args.config) if args.config else {}
     config = config_from_record(record, _train_overrides(args))
+    if config.resolved_epochs < 1:  # the library allows 0 (an untrained model)
+        raise UsageError("epochs must be >= 1")
     out_dir = resolve_out_dir(
         args.out,
         f"train-{config.model}-{config.scenario}-{config.target}-{config.seed}",
@@ -284,7 +292,10 @@ def cmd_eval(args) -> int:
     config = config_from_record(read_meta(meta_path))
     train_ds, test_ds, scaled = prepare_data(config)
     model = build_model(config)
-    load_params_csv(model.params, ckpt_path)
+    try:
+        load_params_csv(model.params, ckpt_path)
+    except ValueError as exc:
+        raise UsageError(f"bad checkpoint {ckpt_path}: {exc}") from None
     info = {"model": config.model, "conditional": config.conditional,
             "multitask": config.multitask, "scenario": config.scenario,
             "seed": config.seed}

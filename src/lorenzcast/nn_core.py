@@ -74,21 +74,10 @@ class ConvLayerParams(ParamBlock):
                  dilation: int = 1):
         if kernel_size < 1 or dilation < 1:
             raise ValueError("kernel_size and dilation must be >= 1")
-        self.dilation = dilation
+        self.out_channels, self.in_channels = out_channels, in_channels
+        self.kernel_size, self.dilation = kernel_size, dilation
         super().__init__([("kernel", (out_channels, in_channels, kernel_size)),
                           ("bias", (out_channels,))])
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[1]
-
-    @property
-    def kernel_size(self) -> int:
-        return self.kernel.shape[2]
 
 
 class DenseParams(ParamBlock):
@@ -118,6 +107,18 @@ class LstmCellParams(ParamBlock):
                 (f"b_{g}", (n_hidden,)),
             )
         ])
+
+    def bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Also bind the gates stacked in LSTM_GATES order: Wx4 (4, H, F),
+        Wh4 (4, H, H), b4 (4, H) and their gradients gWx4, gWh4, gb4. Every
+        gate's [W_gx, W_gh, b_g] block has the same size, so each stacked
+        array is a strided view of theta or grad."""
+        super().bind(theta, grad)
+        h, f = self.n_hidden, self.n_features
+        wx, wh, self.b4 = np.split(theta.reshape(4, -1), [h * f, h * (f + h)], axis=1)
+        self.Wx4, self.Wh4 = wx.reshape(4, h, f), wh.reshape(4, h, h)
+        wx, wh, self.gb4 = np.split(grad.reshape(4, -1), [h * f, h * (f + h)], axis=1)
+        self.gWx4, self.gWh4 = wx.reshape(4, h, f), wh.reshape(4, h, h)
 
 
 def named_parameters(params):
@@ -154,14 +155,9 @@ def relu_grad(y):
 
 def sigmoid(x):
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])  # branch on sign so exp never overflows
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
+    e = np.exp(-np.abs(arr))  # exp(-x) for x >= 0, exp(x) below: never overflows
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if arr.ndim == 0 else out
 
 
 def sigmoid_grad(y):
@@ -290,10 +286,11 @@ def lstm_cell_forward(x_t, h_prev, c_prev, params: LstmCellParams):
         )
     if h_prev.shape != (x_t.shape[0], params.n_hidden) or c_prev.shape != h_prev.shape:
         raise ShapeMismatch("h_prev/c_prev shapes do not match (batch, hidden)")
-    i = sigmoid(x_t @ params.W_ix.T + h_prev @ params.W_ih.T + params.b_i)
-    f = sigmoid(x_t @ params.W_fx.T + h_prev @ params.W_fh.T + params.b_f)
-    o = sigmoid(x_t @ params.W_ox.T + h_prev @ params.W_oh.T + params.b_o)
-    c_tilde = np.tanh(x_t @ params.W_cx.T + h_prev @ params.W_ch.T + params.b_c)
+    # (4, batch, hidden) pre-activations, one gate per leading index
+    z = (x_t @ params.Wx4.transpose(0, 2, 1)
+         + h_prev @ params.Wh4.transpose(0, 2, 1) + params.b4[:, None])
+    i, f, o = sigmoid(z[:3])
+    c_tilde = np.tanh(z[3])
     c = f * c_prev + i * c_tilde
     tanh_c = np.tanh(c)
     h = o * tanh_c
@@ -308,28 +305,19 @@ def lstm_cell_backward(dh, dc, cache, params: LstmCellParams):
     and returns (dx, dh_prev, dc_prev).
     """
     x_t, h_prev, c_prev, i, f, o, c_tilde, tanh_c = cache
-    do = dh * tanh_c
     dc_total = dc + dh * o * tanh_grad(tanh_c)
-    df = dc_total * c_prev
-    di = dc_total * c_tilde
-    dc_tilde = dc_total * i
-    dc_prev = dc_total * f
-
-    pre = {
-        "i": di * sigmoid_grad(i),
-        "f": df * sigmoid_grad(f),
-        "o": do * sigmoid_grad(o),
-        "c": dc_tilde * tanh_grad(c_tilde),
-    }
-    dx = np.zeros_like(x_t)
-    dh_prev = np.zeros_like(h_prev)
-    for g, d_pre in pre.items():
-        params.grads[f"W_{g}x"] += d_pre.T @ x_t
-        params.grads[f"W_{g}h"] += d_pre.T @ h_prev
-        params.grads[f"b_{g}"] += d_pre.sum(axis=0)
-        dx += d_pre @ getattr(params, f"W_{g}x")
-        dh_prev += d_pre @ getattr(params, f"W_{g}h")
-    return dx, dh_prev, dc_prev
+    # (4, batch, hidden) pre-activation gradients of gates i, f, o, c
+    pre = np.stack((dc_total * c_tilde * sigmoid_grad(i),
+                    dc_total * c_prev * sigmoid_grad(f),
+                    dh * tanh_c * sigmoid_grad(o),
+                    dc_total * i * tanh_grad(c_tilde)))
+    pre_t = pre.transpose(0, 2, 1)
+    params.gWx4 += pre_t @ x_t
+    params.gWh4 += pre_t @ h_prev
+    params.gb4 += pre.sum(axis=1)
+    dx = (pre @ params.Wx4).sum(axis=0)  # gates summed in i, f, o, c order
+    dh_prev = (pre @ params.Wh4).sum(axis=0)
+    return dx, dh_prev, dc_total * f
 
 
 def lstm_sequence_forward(sequence, h0, c0, params: LstmCellParams):

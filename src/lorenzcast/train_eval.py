@@ -97,6 +97,16 @@ class TrainConfig:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
+        if not 0 <= self.dropout < 1:
+            raise ValueError("dropout must be in [0, 1)")
+        receptive_field = model_zoo.WaveNetConfig().receptive_field
+        if self.model == "wavenet" and self.resolved_window < receptive_field:
+            raise ValueError(f"wavenet window must be >= its receptive field "
+                             f"{receptive_field}")
+        if self.model == "ffn" and self.resolved_window != model_zoo.FfnParams.WINDOW:
+            raise ValueError(f"ffn window must be {model_zoo.FfnParams.WINDOW}")
         if self.multitask:
             if self.model != "wavenet":
                 raise ValueError("multitask heads are a wavenet variant")
@@ -331,23 +341,12 @@ def train(config: TrainConfig) -> TrainResult:
         history.append(float(np.mean(epoch_losses)))
 
     metadata = {
+        # the first five label evaluate()'s report
         "model": config.model,
         "conditional": config.conditional,
         "multitask": config.multitask,
-        "target": config.target,
         "scenario": config.scenario,
         "seed": config.seed,
-        "epochs": config.resolved_epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "sampling": config.sampling,
-        "window": config.resolved_window,
-        "l2_lambda": config.l2_lambda,
-        "dropout": config.dropout,
-        "n_train": config.n_train,
-        "n_test": config.n_test,
-        "stack_channels": config.resolved_stack_channels,
-        "task_weights": ",".join(f"{w!r}" for w in config.task_weights),
         "init_variant": INIT_VARIANT[config.model],
         "param_count": model_zoo.param_count(model.params),
         "train_seconds": round(time.perf_counter() - start, 3),

@@ -19,6 +19,11 @@ def _read_bytes(path):
         return fh.read()
 
 
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -47,6 +52,22 @@ def test_generate_scenario_b_bounded(tmp_path):
 def test_generate_invalid_scenario_usage_error(tmp_path):
     assert cli.main(["generate", "--scenario", "Q",
                      "--out", str(tmp_path)]) == 1
+
+
+def test_generate_points_writes_that_many_rows(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert cli.main(["generate", "--points", "10", "--out", str(out)]) == 0
+    assert len(_read_csv(out / "trajectory.csv")) == 1 + 10
+    assert len(_read_csv(out / "xy.csv")) == 1 + 10
+    assert "wrote 10-row" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", ["0", "-3", "1502", "5000"])
+def test_generate_points_out_of_range_usage_error(tmp_path, capsys, points):
+    # scenario A integrates 1500 steps from its initial state: 1501 points
+    assert cli.main(["generate", "--points", points, "--out", str(tmp_path)]) == 1
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_generate_uses_env_out_dir(tmp_path, monkeypatch):
@@ -112,8 +133,8 @@ def test_train_rejects_unknown_config_key(tmp_path):
                      "--out", str(tmp_path / "out")]) == 1
 
 
-def test_train_epochs_zero_report_matches_eval_of_init(tmp_path):
-    out = _train(tmp_path, "zero", "--model", "ffn", "--epochs", "0",
+def test_train_report_matches_eval_of_checkpoint(tmp_path):
+    out = _train(tmp_path, "one", "--model", "ffn", "--epochs", "1",
                  "--seed", "4")
     assert cli.main(["eval", "--run", str(out)]) == 0
     train_rows = _read_csv(out / "report.csv")
@@ -175,6 +196,61 @@ def test_outputs_follow_the_umask(tmp_path):
     os.umask(umask)
     for name in os.listdir(out):
         assert os.stat(out / name).st_mode & 0o777 == 0o666 & ~umask, name
+
+
+@pytest.mark.parametrize("args", [
+    ["--model", "wavenet", "--window", "4"],    # below the receptive field 16
+    ["--model", "wavenet", "--window", "15"],
+    ["--model", "ffn", "--window", "0"],        # the ffn reads exactly 5 steps
+    ["--model", "ffn", "--window", "6"],
+    ["--model", "lstm", "--learning-rate", "-1"],
+    ["--model", "ffn", "--learning-rate", "0"],
+    ["--model", "lstm", "--dropout", "1.0"],
+    ["--model", "ffn", "--dropout", "-0.1"],
+    ["--model", "ffn", "--epochs", "0"],        # the library allows 0, the CLI not
+    ["--model", "ffn", "--epochs", "-2"],
+], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
+        "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
+        "ffn-dropout-neg", "epochs-0", "epochs-neg"])
+def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert cli.main(["train", "--out", str(out), *args]) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["seed = 12.5", "epochs = three",
+                                  "learning_rate = fast"])
+def test_train_config_file_bad_number_usage_error(tmp_path, capsys, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"model = ffn\n{line}\n")
+    assert cli.main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
+
+
+def _corrupt_header(rows):
+    return [["name", "index", "value"]] + rows[1:]
+
+
+def _corrupt_index(rows):
+    return rows[:1] + [[rows[1][0], "first", rows[1][2]]] + rows[2:]
+
+
+def _corrupt_layout(rows):
+    return rows[:-1]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_header, _corrupt_index,
+                                     _corrupt_layout, lambda rows: []],
+                         ids=["header", "index", "layout", "empty"])
+def test_eval_bad_checkpoint_usage_error(tmp_path, capsys, corrupt):
+    out = _train(tmp_path, "run", "--model", "ffn", "--epochs", "1")
+    ckpt = out / "checkpoint.csv"
+    ckpt.write_text("".join(",".join(row) + "\n" for row in corrupt(_read_csv(ckpt))))
+    capsys.readouterr()
+    assert cli.main(["eval", "--run", str(out)]) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
 
 
 def test_eval_missing_run_dir_io_error(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorenzcast import nn_core
+from lorenzcast.models import LstmModelParams
 from lorenzcast.nn_core import (
     ConvLayerParams,
     DenseParams,
@@ -238,6 +239,29 @@ def test_sigmoid_stable_at_extremes():
     assert sigmoid(-1000.0) == 0.0
 
 
+def _masked_sigmoid(x):
+    """The sign-masked sigmoid that the branch-free one replaced."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=64))
+def test_sigmoid_matches_masked_formula_bitwise(values):
+    specials = [0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, np.inf, -np.inf]
+    x = np.array(values + specials)
+    assert np.array_equal(sigmoid(x).view(np.int64), _masked_sigmoid(x).view(np.int64))
+    assert np.isnan(sigmoid(np.array([np.nan]))).all()
+    for scalar in (values[0], np.float64(values[0])):
+        y = sigmoid(scalar)
+        assert type(y) is float and y == _masked_sigmoid(scalar)[0]
+
+
 @pytest.mark.parametrize("x0", [-1.0, 0.5, 2.0])
 def test_activation_derivatives_finite_differences(x0):
     eps = 1e-6
@@ -342,6 +366,89 @@ def test_lstm_cell_gradients_finite_differences():
         return float(np.sum(h))
 
     assert grad_check(loss, params, backward, eps=1e-5) < 1e-5
+
+
+def _reference_cell_forward(x_t, h_prev, c_prev, params):
+    """The per-gate cell that the stacked one replaced: one matmul pair
+    and one activation call per gate, with the sign-masked sigmoid."""
+    i = _masked_sigmoid(x_t @ params.W_ix.T + h_prev @ params.W_ih.T + params.b_i)
+    f = _masked_sigmoid(x_t @ params.W_fx.T + h_prev @ params.W_fh.T + params.b_f)
+    o = _masked_sigmoid(x_t @ params.W_ox.T + h_prev @ params.W_oh.T + params.b_o)
+    c_tilde = np.tanh(x_t @ params.W_cx.T + h_prev @ params.W_ch.T + params.b_c)
+    c = f * c_prev + i * c_tilde
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, (x_t, h_prev, c_prev, i, f, o, c_tilde, tanh_c)
+
+
+def _reference_cell_backward(dh, dc, cache, params):
+    x_t, h_prev, c_prev, i, f, o, c_tilde, tanh_c = cache
+    do = dh * tanh_c
+    dc_total = dc + dh * o * tanh_grad(tanh_c)
+    df = dc_total * c_prev
+    di = dc_total * c_tilde
+    dc_tilde = dc_total * i
+    dc_prev = dc_total * f
+
+    pre = {
+        "i": di * sigmoid_grad(i),
+        "f": df * sigmoid_grad(f),
+        "o": do * sigmoid_grad(o),
+        "c": dc_tilde * tanh_grad(c_tilde),
+    }
+    dx = np.zeros_like(x_t)
+    dh_prev = np.zeros_like(h_prev)
+    for g, d_pre in pre.items():
+        params.grads[f"W_{g}x"] += d_pre.T @ x_t
+        params.grads[f"W_{g}h"] += d_pre.T @ h_prev
+        params.grads[f"b_{g}"] += d_pre.sum(axis=0)
+        dx += d_pre @ getattr(params, f"W_{g}x")
+        dh_prev += d_pre @ getattr(params, f"W_{g}h")
+    return dx, dh_prev, dc_prev
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3]), st.sampled_from([1, 2, 25]),
+       st.sampled_from([1, 3, 32]), st.integers(0, 2**32 - 1))
+def test_stacked_cell_matches_per_gate_reference_bitwise(n_features, n_hidden,
+                                                         batch, seed):
+    rng = np.random.default_rng(seed)
+    stacked = LstmCellParams(n_features, n_hidden)
+    reference = LstmCellParams(n_features, n_hidden)
+    stacked.theta[...] = reference.theta[...] = rng.uniform(-2, 2, stacked.theta.size)
+    # backward adds into the gradient buffers, so start them nonzero
+    stacked.grad[...] = reference.grad[...] = rng.normal(size=stacked.grad.size)
+    x = rng.normal(size=(batch, n_features))
+    h0, c0, dh, dc = rng.normal(size=(4, batch, n_hidden))
+
+    h, c, cache = lstm_cell_forward(x, h0, c0, stacked)
+    h_ref, c_ref, cache_ref = _reference_cell_forward(x, h0, c0, reference)
+    assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+    grads = nn_core.lstm_cell_backward(dh, dc, cache, stacked)
+    grads_ref = _reference_cell_backward(dh, dc, cache_ref, reference)
+    for got, want in zip(grads, grads_ref):  # dx, dh_prev, dc_prev
+        assert np.array_equal(got, want)
+    for name in stacked.grads:
+        assert np.array_equal(stacked.grads[name], reference.grads[name]), name
+
+
+def test_stacked_gate_views_share_the_store():
+    params = LstmCellParams(3, 2)
+    params.theta[...] = np.arange(params.theta.size)
+    params.grad[...] = -np.arange(params.grad.size)
+    for k, g in enumerate(nn_core.LSTM_GATES):
+        assert np.array_equal(params.Wx4[k], getattr(params, f"W_{g}x"))
+        assert np.array_equal(params.Wh4[k], getattr(params, f"W_{g}h"))
+        assert np.array_equal(params.b4[k], getattr(params, f"b_{g}"))
+        assert np.array_equal(params.gWx4[k], params.grads[f"W_{g}x"])
+        assert np.array_equal(params.gWh4[k], params.grads[f"W_{g}h"])
+        assert np.array_equal(params.gb4[k], params.grads[f"b_{g}"])
+    for view in (params.Wx4, params.Wh4, params.b4):
+        assert np.shares_memory(view, params.theta)
+    for view in (params.gWx4, params.gWh4, params.gb4):
+        assert np.shares_memory(view, params.grad)
+    model = LstmModelParams(3, 2)  # the model's store re-binds the cell
+    assert np.shares_memory(model.cell.Wh4, model.theta)
+    assert np.shares_memory(model.cell.gWh4, model.grad)
 
 
 def test_lstm_sequence_length_one_equals_cell():
