@@ -161,6 +161,19 @@ def config_from_record(record: dict[str, str],
         raise UsageError(str(exc)) from exc
 
 
+def config_record(config: TrainConfig) -> dict:
+    """The record config_from_record turns back into `config`."""
+    record = {}
+    for f in dataclass_fields(TrainConfig):
+        value = getattr(config, f.name)
+        if value is None:  # unset optionals fall back to their defaults on replay
+            continue
+        if f.name == "task_weights":
+            value = ",".join(f"{w:.17g}" for w in value)
+        record[f.name] = value
+    return record
+
+
 def resolve_out_dir(arg: str | None, default_name: str) -> str:
     base = arg or os.environ.get(OUT_DIR_ENV)
     return base if base is not None else os.path.join("runs", default_name)
@@ -218,14 +231,7 @@ def _write_run_outputs(out_dir: str, config: TrainConfig, result,
     _write_atomic(os.path.join(out_dir, "checkpoint.csv"),
                   lambda tmp: save_params_csv(result.model.params, tmp))
 
-    record = {"command": "train"}
-    for f in dataclass_fields(TrainConfig):
-        value = getattr(config, f.name)
-        if value is None:  # unset optionals fall back to their defaults on replay
-            continue
-        if f.name == "task_weights":
-            value = ",".join(f"{w:.17g}" for w in value)
-        record[f.name] = value
+    record = {"command": "train", **config_record(config)}
     scenario = SCENARIOS[config.scenario]
     comments = {
         "param_count": result.metadata["param_count"],

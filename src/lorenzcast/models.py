@@ -7,12 +7,13 @@
 * the small 1992-era feed-forward baseline (5 inputs, 3 sigmoid hidden
   neurons, linear output).
 
-Width bookkeeping in the conv stack: dilated convolutions run without
-internal padding, so each layer shrinks the time axis by d*(k-1); residual
-adds crop their input stream to the time-aligned tail, and skip taps crop
-to the final position before their 1x1 conv. At the default config the
-width walks 16 -> 15 -> 13 -> 9 -> 1, and the one remaining position is
-the one-step-ahead readout.
+Cone grids in the conv stack: the one-step readout at the last position
+depends only on the last 16 inputs, and layer l (dilation 2^l, k = 2) only
+on every 2^l-th position of its input stream. So the stack keeps each
+stream on that compact grid: widths 16 -> 8 -> 4 -> 2 -> 1. On a compact
+grid the dilated layer is a stride-2 pair conv, out[i] = bias + k0 *
+g[2i] + k1 * g[2i+1], and the residual adds the odd positions g[1::2].
+Skip taps read the last position of each layer's output.
 """
 
 from __future__ import annotations
@@ -53,28 +54,23 @@ __all__ = [
 # WaveNet-style dilated stack
 
 
+N_LAYERS = 4  # dilated layers, layer l with dilation 2^l
+KERNEL_SIZE = 2  # the cone grids are exact only for k = 2
+RECEPTIVE_FIELD = KERNEL_SIZE * 2 ** (N_LAYERS - 1)
+
+
 @dataclass(frozen=True)
 class WaveNetConfig:
-    """Structure of the dilated stack.
+    """Channels of the dilated stack.
 
     stack_channels is the filter count M carried through the stack; the
     default 1 keeps the dilated layers single-channel after the input 1x1
     conv (setting it to 3 runs three channels throughout instead).
     """
 
-    n_layers: int = 4
-    kernel_size: int = 2
     in_channels: int = 1
     n_tasks: int = 1
     stack_channels: int = 1
-
-    @property
-    def dilations(self) -> tuple[int, ...]:
-        return tuple(2 ** l for l in range(self.n_layers))
-
-    @property
-    def receptive_field(self) -> int:
-        return self.kernel_size * 2 ** (self.n_layers - 1)
 
 
 class WaveNetParams(ParamStore):
@@ -84,11 +80,9 @@ class WaveNetParams(ParamStore):
         self.config = config
         m = config.stack_channels
         self.input_conv = ConvLayerParams(m, config.in_channels, 1)
-        self.dilated = [
-            ConvLayerParams(m, m, config.kernel_size, dilation=d)
-            for d in config.dilations
-        ]
-        self.skips = [ConvLayerParams(m, m, 1) for _ in range(config.n_layers)]
+        self.dilated = [ConvLayerParams(m, m, KERNEL_SIZE, stride=2)
+                        for _ in range(N_LAYERS)]
+        self.skips = [ConvLayerParams(m, m, 1) for _ in range(N_LAYERS)]
         self.heads = [ConvLayerParams(1, m, 1) for _ in range(config.n_tasks)]
         super().__init__(
             [("input_conv", self.input_conv)]
@@ -120,9 +114,9 @@ def init_wavenet(config: WaveNetConfig, seed: int,
 def wavenet_forward(inputs: np.ndarray, params: WaveNetParams):
     """Run the stack on (batch, in_channels, width); width >= receptive field.
 
-    Pipeline: input 1x1 conv -> [dilated conv -> relu -> residual add, with
-    a skip 1x1 tap per layer] -> sum(skip taps) + final stream position ->
-    one 1x1 head per task, read at the latest time position.
+    Pipeline: input 1x1 conv on the last RECEPTIVE_FIELD positions ->
+    [stride-2 pair conv -> relu -> residual add, with a skip 1x1 tap per
+    layer] -> sum(skip taps) + final stream -> one 1x1 head per task.
 
     Returns (predictions (batch, n_tasks), cache).
     """
@@ -131,12 +125,11 @@ def wavenet_forward(inputs: np.ndarray, params: WaveNetParams):
         raise ShapeMismatch(
             f"expected (batch, {cfg.in_channels}, width), got {inputs.shape}"
         )
-    if inputs.shape[2] < cfg.receptive_field:
+    if inputs.shape[2] < RECEPTIVE_FIELD:
         raise ShapeMismatch(
-            f"width {inputs.shape[2]} < receptive field {cfg.receptive_field}"
+            f"width {inputs.shape[2]} < receptive field {RECEPTIVE_FIELD}"
         )
-    stream = conv1d_forward(inputs, params.input_conv)
-    streams = [stream]
+    streams = [conv1d_forward(inputs[:, :, -RECEPTIVE_FIELD:], params.input_conv)]
     relus, skip_ins = [], []
     skip_sum = np.zeros((inputs.shape[0], cfg.stack_channels, 1), dtype=np.float64)
     for conv, skip in zip(params.dilated, params.skips):
@@ -145,8 +138,8 @@ def wavenet_forward(inputs: np.ndarray, params: WaveNetParams):
         skip_sum += conv1d_forward(tap, skip)
         relus.append(f)
         skip_ins.append(tap)
-        streams.append(streams[-1][:, :, -f.shape[2]:] + f)
-    final_in = skip_sum + streams[-1][:, :, -1:]
+        streams.append(streams[-1][:, :, 1::2] + f)
+    final_in = skip_sum + streams[-1]
     preds = np.empty((inputs.shape[0], cfg.n_tasks), dtype=np.float64)
     for j, head in enumerate(params.heads):
         preds[:, j] = conv1d_forward(final_in, head)[:, 0, 0]
@@ -157,7 +150,8 @@ def wavenet_forward(inputs: np.ndarray, params: WaveNetParams):
 def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> np.ndarray:
     """Exact adjoint of wavenet_forward; gradients sum at every fan-out.
 
-    Accumulates parameter gradients and returns the input gradient.
+    Accumulates parameter gradients and returns the input gradient, zero
+    outside the receptive field.
     """
     inputs, streams, relus, skip_ins, final_in = cache
     if d_preds.shape != (inputs.shape[0], params.config.n_tasks):
@@ -170,19 +164,17 @@ def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> np.nd
         up = d_preds[:, j].reshape(b, 1, 1)
         d_final_in += conv1d_backward(up, final_in, head)
 
-    # final_in = skip_sum + last position of the post-stack stream
-    d_stream = np.zeros_like(streams[-1])
-    d_stream[:, :, -1:] = d_final_in
-    for l in reversed(range(params.config.n_layers)):
-        f = relus[l]
-        width = f.shape[2]
+    d_stream = d_final_in  # final_in = skip_sum + the width-1 final stream
+    for l in reversed(range(N_LAYERS)):
         d_f = d_stream.copy()
         d_f[:, :, -1:] += conv1d_backward(d_final_in, skip_ins[l], params.skips[l])
-        d_z = d_f * relu_grad(f)
-        d_prev = conv1d_backward(d_z, streams[l], params.dilated[l])
-        d_prev[:, :, -width:] += d_stream  # adjoint of the residual tail crop
+        d_prev = conv1d_backward(d_f * relu_grad(relus[l]), streams[l], params.dilated[l])
+        d_prev[:, :, 1::2] += d_stream  # adjoint of the residual's odd positions
         d_stream = d_prev
-    return conv1d_backward(d_stream, inputs, params.input_conv)
+    d_inputs = np.zeros_like(inputs)
+    d_inputs[:, :, -RECEPTIVE_FIELD:] = conv1d_backward(
+        d_stream, inputs[:, :, -RECEPTIVE_FIELD:], params.input_conv)
+    return d_inputs
 
 
 class WaveNetModel:

@@ -6,8 +6,8 @@ parameters live in one flat vector and its gradients in a second one of
 the same size; each layer array is a named view into them. Backward
 passes *add* into the gradient views, so callers zero the gradient vector
 between optimizer steps. The 1-D convolution is the cross-correlation
-s(i) = sum_c sum_j input[c, i + d*j] * w[c, j] + b (no kernel flipping),
-with dilation d skipping input positions.
+out(i) = sum_c sum_j input[c, s*i + j] * w[c, j] + b (no kernel flipping),
+with stride s stepping the kernel along the input.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ class ConvLayerParams(ParamBlock):
     """1-D convolution parameters: kernel (out_ch, in_ch, k), bias (out_ch,)."""
 
     def __init__(self, out_channels: int, in_channels: int, kernel_size: int,
-                 dilation: int = 1):
-        if kernel_size < 1 or dilation < 1:
-            raise ValueError("kernel_size and dilation must be >= 1")
+                 stride: int = 1):
+        if kernel_size < 1 or stride < 1:
+            raise ValueError("kernel_size and stride must be >= 1")
         self.out_channels, self.in_channels = out_channels, in_channels
-        self.kernel_size, self.dilation = kernel_size, dilation
+        self.kernel_size, self.stride = kernel_size, stride
         super().__init__([("kernel", (out_channels, in_channels, kernel_size)),
                           ("bias", (out_channels,))])
 
@@ -169,10 +169,11 @@ def tanh_grad(y):
 
 
 # ---------------------------------------------------------------------------
-# 1-D dilated convolution (cross-correlation)
+# 1-D strided convolution (cross-correlation)
 
 
-def _conv_check(inputs: np.ndarray, params: ConvLayerParams) -> tuple[np.ndarray, bool]:
+def _conv_check(inputs: np.ndarray, params: ConvLayerParams):
+    """(batch view, whether the input was 2-d, output width)."""
     single = inputs.ndim == 2  # (channels, width) convenience form
     batch = inputs[None] if single else inputs
     if batch.ndim != 3:
@@ -181,30 +182,25 @@ def _conv_check(inputs: np.ndarray, params: ConvLayerParams) -> tuple[np.ndarray
         raise ShapeMismatch(
             f"input has {batch.shape[1]} channels, kernel expects {params.in_channels}"
         )
-    min_width = 1 + params.dilation * (params.kernel_size - 1)
-    if batch.shape[2] < min_width:
-        raise ShapeMismatch(
-            f"width {batch.shape[2]} < minimum {min_width} for k={params.kernel_size},"
-            f" d={params.dilation}"
-        )
-    return batch, single
+    k = params.kernel_size
+    if batch.shape[2] < k:
+        raise ShapeMismatch(f"width {batch.shape[2]} < kernel size {k}")
+    return batch, single, (batch.shape[2] - k) // params.stride + 1
 
 
 def conv1d_forward(inputs: np.ndarray, params: ConvLayerParams) -> np.ndarray:
-    """Dilated cross-correlation over (batch, channels, width) or (channels, width).
+    """Strided cross-correlation over (batch, channels, width) or (channels, width).
 
-    out[b, o, i] = sum_c sum_j inputs[b, c, i + d*j] * kernel[o, c, j] + bias[o]
-    with out_width = width - d * (kernel_size - 1).
+    out[b, o, i] = sum_c sum_j inputs[b, c, s*i + j] * kernel[o, c, j] + bias[o]
+    with out_width = (width - kernel_size) // s + 1.
     """
-    batch, single = _conv_check(inputs, params)
-    k, d = params.kernel_size, params.dilation
-    out_w = batch.shape[2] - d * (k - 1)
+    batch, single, out_w = _conv_check(inputs, params)
+    s = params.stride
     out = np.empty((batch.shape[0], params.out_channels, out_w), dtype=np.float64)
     out[:] = params.bias[None, :, None]
-    for j in range(k):
-        out += np.einsum(
-            "bcw,oc->bow", batch[:, :, j * d:j * d + out_w], params.kernel[:, :, j]
-        )
+    for j in range(params.kernel_size):  # tap j reads inputs j, j+s, ...
+        out += np.einsum("bcw,oc->bow", batch[:, :, j:j + s * out_w:s],
+                         params.kernel[:, :, j])
     return out[0] if single else out
 
 
@@ -216,23 +212,20 @@ def conv1d_backward(
     Accumulates kernel/bias gradients into params.grads and returns the
     gradient with respect to the inputs (same shape as `inputs`).
     """
-    batch, single = _conv_check(inputs, params)
+    batch, single, out_w = _conv_check(inputs, params)
     up = upstream[None] if single else upstream
-    k, d = params.kernel_size, params.dilation
-    out_w = batch.shape[2] - d * (k - 1)
-    if up.shape != (batch.shape[0], params.out_channels, out_w):
+    out_shape = (batch.shape[0], params.out_channels, out_w)
+    if up.shape != out_shape:
         raise ShapeMismatch(
-            f"upstream shape {up.shape} does not match forward output "
-            f"{(batch.shape[0], params.out_channels, out_w)}"
+            f"upstream shape {up.shape} does not match forward output {out_shape}"
         )
     params.grads["bias"] += up.sum(axis=(0, 2))
+    s = params.stride
     d_input = np.zeros_like(batch)
-    for j in range(k):
-        window = batch[:, :, j * d:j * d + out_w]
-        params.grads["kernel"][:, :, j] += np.einsum("bow,bcw->oc", up, window)
-        d_input[:, :, j * d:j * d + out_w] += np.einsum(
-            "bow,oc->bcw", up, params.kernel[:, :, j]
-        )
+    for j in range(params.kernel_size):
+        tap = (slice(None), slice(None), slice(j, j + s * out_w, s))
+        params.grads["kernel"][:, :, j] += np.einsum("bow,bcw->oc", up, batch[tap])
+        d_input[tap] += np.einsum("bow,oc->bcw", up, params.kernel[:, :, j])
     return d_input[0] if single else d_input
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import models as model_zoo
 from .lorenz import (
-    InsufficientData,
     LorenzParams,
     LorenzState,
     NonFinite,
@@ -101,10 +100,17 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
-        receptive_field = model_zoo.WaveNetConfig().receptive_field
-        if self.model == "wavenet" and self.resolved_window < receptive_field:
+        if self.model == "wavenet" and self.resolved_window < model_zoo.RECEPTIVE_FIELD:
             raise ValueError(f"wavenet window must be >= its receptive field "
-                             f"{receptive_field}")
+                             f"{model_zoo.RECEPTIVE_FIELD}")
+        if self.stack_channels is not None and self.stack_channels < 1:
+            raise ValueError("stack_channels must be >= 1")
+        if self.n_train < 1 or self.n_test < 1:
+            raise ValueError("n_train and n_test must be >= 1")
+        n_points = SCENARIOS[self.scenario].params.n_steps + 1
+        if self.n_train + self.n_test > n_points:
+            raise ValueError(f"n_train + n_test must be <= the {n_points} "
+                             f"points scenario {self.scenario} generates")
         if self.model == "ffn" and self.resolved_window != model_zoo.FfnParams.WINDOW:
             raise ValueError(f"ffn window must be {model_zoo.FfnParams.WINDOW}")
         if self.multitask:
@@ -232,12 +238,8 @@ def prepare_data(config: TrainConfig):
     """
     scenario = SCENARIOS[config.scenario]
     n_points = config.n_train + config.n_test
-    raw = euler_integrate(scenario.init, scenario.params)
-    if len(raw) < n_points:
-        raise InsufficientData(
-            f"scenario generates {len(raw)} points, need {n_points}"
-        )
-    raw = raw.truncate(n_points)
+    # TrainConfig has checked that the scenario generates n_points
+    raw = euler_integrate(scenario.init, scenario.params).truncate(n_points)
     scaled = rescale_series_set(raw)
     full = make_windows(
         scaled, config.resolved_window,

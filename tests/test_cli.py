@@ -4,9 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lorenzcast import cli
 from lorenzcast import models as mz
+from lorenzcast.train_eval import TrainConfig
 
 
 def _read_csv(path):
@@ -149,8 +152,8 @@ def test_train_report_matches_eval_of_checkpoint(tmp_path):
 # reorders the layers or drifts by one ulp fails here.
 GOLDEN_3_EPOCHS = [
     (["--model", "wavenet", "--conditional"],
-     "74b6a9ceea389dd49eed975014a2075fa63c9cb5afcb11f978968f8703a8dad7",
-     "ad6463663dfc766410d6a5f97423c5d089b87a8c074b3bd0bef913fd7415535e"),
+     "3808574aee5477ef1a68c397022aa8cacbfd9c176714cf7da92ad1419d099c49",
+     "a246ca6df262967a144060d55d47856c9f6e572768a3e00ce8ee8eeff687c697"),
     (["--model", "lstm", "--conditional"],
      "a95379511d7a32825bacf63fe6f607be7c455f2475ffa4ee866708731e04237e",
      "517b11286b4b0e051eec17b078f045059ee69f43e7f7ae455bd74dd7ac256a09"),
@@ -209,9 +212,12 @@ def test_outputs_follow_the_umask(tmp_path):
     ["--model", "ffn", "--dropout", "-0.1"],
     ["--model", "ffn", "--epochs", "0"],        # the library allows 0, the CLI not
     ["--model", "ffn", "--epochs", "-2"],
+    ["--model", "wavenet", "--stack-channels", "0"],
+    ["--model", "wavenet", "--stack-channels", "-2"],
 ], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
         "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
-        "ffn-dropout-neg", "epochs-0", "epochs-neg"])
+        "ffn-dropout-neg", "epochs-0", "epochs-neg", "wavenet-stack-channels-0",
+        "wavenet-stack-channels-neg"])
 def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert cli.main(["train", "--out", str(out), *args]) == cli.EXIT_USAGE
@@ -227,6 +233,21 @@ def test_train_config_file_bad_number_usage_error(tmp_path, capsys, line):
     assert cli.main(["train", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("line", [
+    "n_train = 1400",  # 1400 + 500 exceeds the 1501 points a scenario generates
+    "n_train = 0",
+    "n_test = 0",
+])
+def test_train_config_file_bad_sizes_usage_error(tmp_path, capsys, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"model = ffn\n{line}\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) \
+        == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
+    assert not out.exists()
 
 
 def _corrupt_header(rows):
@@ -297,6 +318,43 @@ def test_help_exits_zero():
 
 def test_missing_command_usage_error():
     assert cli.main([]) == 1
+
+
+@st.composite
+def _train_configs(draw):
+    model = draw(st.sampled_from(["wavenet", "lstm", "ffn"]))
+    conditional = model != "ffn" and draw(st.booleans())
+    multitask = model == "wavenet" and conditional and draw(st.booleans())
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
+    windows = {"wavenet": st.integers(16, 40), "lstm": st.integers(1, 40),
+               "ffn": st.just(5)}
+    n_train = draw(st.integers(1, 1500))
+    return TrainConfig(
+        model=model, conditional=conditional, multitask=multitask,
+        target=draw(st.sampled_from(["x", "y", "z"])),
+        task_weights=tuple(w / sum(raw) for w in raw),
+        scenario=draw(st.sampled_from(["A", "B"])),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        epochs=draw(st.none() | st.integers(0, 500)),
+        batch_size=draw(st.integers(1, 512)),
+        learning_rate=draw(st.floats(1e-8, 1.0)),
+        sampling=draw(st.sampled_from(["shuffled", "adjacent"])),
+        window=draw(st.none() | windows[model]),
+        l2_lambda=draw(st.floats(0.0, 1.0)),
+        dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        n_train=n_train,
+        n_test=draw(st.integers(1, 1501 - n_train)),
+        stack_channels=draw(st.none() | st.integers(1, 8)),
+    )
+
+
+@settings(deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_train_configs())
+def test_config_record_round_trips_through_meta(tmp_path, config):
+    path = tmp_path / "meta.txt"
+    cli.write_meta(path, {"command": "train", **cli.config_record(config)})
+    assert cli.config_from_record(cli.read_meta(path)) == config
 
 
 def test_meta_round_trip(tmp_path):

@@ -97,18 +97,20 @@ def _backward_without_top_residual(d_preds, cache, params):
     for j, head in enumerate(params.heads):
         up = d_preds[:, j].reshape(inputs.shape[0], 1, 1)
         d_final_in += conv1d_backward(up, final_in, head)
-    d_stream = np.zeros_like(streams[-1])
-    d_stream[:, :, -1:] = d_final_in
-    top = params.config.n_layers - 1
-    for l in reversed(range(params.config.n_layers)):
+    d_stream = d_final_in
+    top = mz.N_LAYERS - 1
+    for l in reversed(range(mz.N_LAYERS)):
         d_f = d_stream.copy()
         d_f[:, :, -1:] += conv1d_backward(d_final_in, skip_ins[l], params.skips[l])
         d_prev = conv1d_backward(d_f * relu_grad(relus[l]), streams[l],
                                  params.dilated[l])
         if l != top:
-            d_prev[:, :, -relus[l].shape[2]:] += d_stream
+            d_prev[:, :, 1::2] += d_stream
         d_stream = d_prev
-    return conv1d_backward(d_stream, inputs, params.input_conv)
+    d_inputs = np.zeros_like(inputs)
+    d_inputs[:, :, -mz.RECEPTIVE_FIELD:] = conv1d_backward(
+        d_stream, inputs[:, :, -mz.RECEPTIVE_FIELD:], params.input_conv)
+    return d_inputs
 
 
 @pytest.mark.parametrize("case", [c for c in CHEAP_CASES if c != "ffn"])

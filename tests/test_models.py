@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzcast import models as mz
-from lorenzcast.nn_core import ShapeMismatch, named_parameters, zero_grads, grad_check
+from lorenzcast.nn_core import (
+    ShapeMismatch,
+    conv1d_backward,
+    conv1d_forward,
+    grad_check,
+    named_parameters,
+    relu,
+    relu_grad,
+    zero_grads,
+)
 from lorenzcast.train_eval import mae_loss
 
 
@@ -21,9 +32,14 @@ def _copy_block(dst, src):
 
 
 def test_receptive_field_default():
-    cfg = mz.WaveNetConfig()
-    assert cfg.receptive_field == 16  # k * 2^(L-1) = 2 * 8
-    assert cfg.dilations == (1, 2, 4, 8)
+    assert mz.RECEPTIVE_FIELD == 16  # k * 2^(L-1) = 2 * 8
+    params = mz.WaveNetParams(mz.WaveNetConfig())
+    assert [(c.kernel_size, c.stride) for c in params.dilated] == [(2, 2)] * 4
+    # each stream holds only the readout's cone: 16 -> 8 -> 4 -> 2 -> 1
+    _, cache = mz.wavenet_forward(np.zeros((1, 1, 20)), params)
+    _, streams, relus, _, _ = cache
+    assert [s.shape[2] for s in streams] == [16, 8, 4, 2, 1]
+    assert [f.shape[2] for f in relus] == [8, 4, 2, 1]
 
 
 def test_wavenet_zero_params_head_bias():
@@ -144,6 +160,88 @@ def test_wavenet_causality_beyond_receptive_field():
     bumped[0, 0, width - 1] += 13.0
     out, _ = mz.wavenet_forward(bumped, params)
     assert out[0, 0] != base[0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the full-width stack the cone grids replaced, kept as a reference: layer l
+# is a dilation-2^l conv over every position, residuals crop to the tail
+
+
+def _dilated_forward(g, conv, d):
+    w = g.shape[2] - d
+    out = np.empty((g.shape[0], conv.out_channels, w))
+    out[:] = conv.bias[None, :, None]
+    for j in range(2):
+        out += np.einsum("bcw,oc->bow", g[:, :, j * d:j * d + w], conv.kernel[:, :, j])
+    return out
+
+
+def _dilated_backward(up, g, conv, d):
+    w = up.shape[2]
+    conv.grads["bias"] += up.sum(axis=(0, 2))
+    d_g = np.zeros_like(g)
+    for j in range(2):
+        conv.grads["kernel"][:, :, j] += np.einsum("bow,bcw->oc", up,
+                                                   g[:, :, j * d:j * d + w])
+        d_g[:, :, j * d:j * d + w] += np.einsum("bow,oc->bcw", up, conv.kernel[:, :, j])
+    return d_g
+
+
+def _full_width_forward(inputs, params):
+    streams = [conv1d_forward(inputs, params.input_conv)]
+    relus, skip_ins = [], []
+    skip_sum = np.zeros((inputs.shape[0], params.config.stack_channels, 1))
+    for l, (conv, skip) in enumerate(zip(params.dilated, params.skips)):
+        f = relu(_dilated_forward(streams[-1], conv, 2 ** l))
+        skip_sum += conv1d_forward(f[:, :, -1:], skip)
+        relus.append(f)
+        skip_ins.append(f[:, :, -1:])
+        streams.append(streams[-1][:, :, -f.shape[2]:] + f)
+    final_in = skip_sum + streams[-1][:, :, -1:]
+    preds = np.stack([conv1d_forward(final_in, head)[:, 0, 0]
+                      for head in params.heads], axis=1)
+    return preds, (inputs, streams, relus, skip_ins, final_in)
+
+
+def _full_width_backward(d_preds, cache, params):
+    inputs, streams, relus, skip_ins, final_in = cache
+    d_final_in = np.zeros_like(final_in)
+    for j, head in enumerate(params.heads):
+        d_final_in += conv1d_backward(d_preds[:, j].reshape(-1, 1, 1), final_in, head)
+    d_stream = np.zeros_like(streams[-1])
+    d_stream[:, :, -1:] = d_final_in
+    for l in reversed(range(mz.N_LAYERS)):
+        d_f = d_stream.copy()
+        d_f[:, :, -1:] += conv1d_backward(d_final_in, skip_ins[l], params.skips[l])
+        d_prev = _dilated_backward(d_f * relu_grad(relus[l]), streams[l],
+                                   params.dilated[l], 2 ** l)
+        d_prev[:, :, -relus[l].shape[2]:] += d_stream
+        d_stream = d_prev
+    return conv1d_backward(d_stream, inputs, params.input_conv)
+
+
+@settings(deadline=None, max_examples=30)
+@given(batch=st.integers(1, 6), in_channels=st.integers(1, 3),
+       stack_channels=st.integers(1, 4), n_tasks=st.integers(1, 3),
+       window=st.integers(16, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_cone_stack_matches_full_width_reference(batch, in_channels, stack_channels,
+                                                 n_tasks, window, seed):
+    rng = np.random.default_rng(seed)
+    params = mz.WaveNetParams(mz.WaveNetConfig(in_channels, n_tasks, stack_channels))
+    params.theta[...] = rng.uniform(-0.5, 0.5, size=params.theta.size)
+    x = rng.normal(size=(batch, in_channels, window))
+    d_preds = rng.normal(size=(batch, n_tasks))
+
+    preds, cache = mz.wavenet_forward(x, params)
+    ref_preds, ref_cache = _full_width_forward(x, params)
+    assert np.array_equal(preds, ref_preds)
+    zero_grads(params)
+    d_x = mz.wavenet_backward(d_preds, cache, params)
+    grad = params.grad.copy()
+    zero_grads(params)
+    assert np.array_equal(d_x, _full_width_backward(d_preds, ref_cache, params))
+    # the compact grids sum kernel and bias gradients in another order
+    assert np.all(np.abs(grad - params.grad) <= 1e-15 + 1e-13 * np.abs(params.grad))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from lorenzcast.nn_core import (
 )
 
 
-def _conv(out_c, in_c, k, dilation=1, kernel=None, bias=None):
-    params = ConvLayerParams(out_c, in_c, k, dilation)
+def _conv(out_c, in_c, k, stride=1, kernel=None, bias=None):
+    params = ConvLayerParams(out_c, in_c, k, stride)
     if kernel is not None:
         params.kernel[...] = np.asarray(kernel, dtype=float).reshape(params.kernel.shape)
     if bias is not None:
@@ -50,14 +50,14 @@ def test_conv_cross_correlation_d1():
     assert np.array_equal(out, [[3.0, 5.0, 7.0]])
 
 
-def test_conv_cross_correlation_d2():
-    params = _conv(1, 1, 2, dilation=2, kernel=[1.0, 1.0])
-    out = conv1d_forward(np.array([[1.0, 2.0, 3.0, 4.0]]), params)
-    assert np.array_equal(out, [[4.0, 6.0]])
+def test_conv_cross_correlation_s2():
+    params = _conv(1, 1, 2, stride=2, kernel=[1.0, 10.0])
+    out = conv1d_forward(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]), params)
+    assert np.array_equal(out, [[21.0, 43.0]])  # windows (1, 2) and (3, 4)
 
 
 def test_conv_identity_kernel():
-    params = _conv(1, 1, 1, dilation=3, kernel=[1.0])
+    params = _conv(1, 1, 1, kernel=[1.0])
     x = np.array([[0.5, -1.0, 2.0, 7.0]])
     assert np.array_equal(conv1d_forward(x, params), x)
 
@@ -79,30 +79,30 @@ def test_conv_toeplitz_equivalence():
     assert np.max(np.abs(out - x @ W)) < 1e-14
 
 
-def test_conv_kernel_size_one_ignores_dilation():
+def test_conv_kernel_size_one_stride_subsamples():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 3, 10))
     kernel = rng.normal(size=(2, 3, 1))
     bias = rng.normal(size=2)
     outs = []
-    for dilation in (1, 2, 5):
-        params = _conv(2, 3, 1, dilation, kernel=kernel, bias=bias)
+    for stride in (1, 2, 5):
+        params = _conv(2, 3, 1, stride, kernel=kernel, bias=bias)
         outs.append(conv1d_forward(x, params))
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
-    # and equals the per-position affine map
+    assert np.array_equal(outs[1], outs[0][:, :, ::2])
+    assert np.array_equal(outs[2], outs[0][:, :, ::5])
+    # and stride 1 equals the per-position affine map
     dense = np.einsum("bcw,oc->bow", x, kernel[:, :, 0]) + bias[None, :, None]
     assert np.max(np.abs(outs[0] - dense)) < 1e-14
 
 
 @settings(deadline=None, max_examples=40)
-@given(width=st.integers(1, 30), k=st.integers(1, 4), d=st.integers(1, 4))
-def test_conv_output_width_formula(width, k, d):
-    if width < 1 + d * (k - 1):
+@given(width=st.integers(1, 30), k=st.integers(1, 4), s=st.integers(1, 4))
+def test_conv_output_width_formula(width, k, s):
+    if width < k:
         return
-    params = _conv(1, 1, k, d)
+    params = _conv(1, 1, k, s)
     out = conv1d_forward(np.zeros((1, width)), params)
-    assert out.shape == (1, width - d * (k - 1))
+    assert out.shape == (1, (width - k) // s + 1)
 
 
 def test_conv_shape_mismatch():
@@ -165,7 +165,7 @@ def _fd_check_conv(params, x, eps=1e-5):
 
 def test_conv_backward_finite_differences():
     rng = np.random.default_rng(5)
-    params = _conv(1, 1, 2, dilation=2,
+    params = _conv(1, 1, 2, stride=2,
                    kernel=rng.normal(size=(1, 1, 2)), bias=rng.normal(size=1))
     x = rng.normal(size=(1, 1, 8))
     assert _fd_check_conv(params, x) < 1e-6
@@ -173,28 +173,36 @@ def test_conv_backward_finite_differences():
 
 def test_conv_backward_multichannel_finite_differences():
     rng = np.random.default_rng(6)
-    params = _conv(2, 3, 2, dilation=2,
-                   kernel=rng.normal(size=(2, 3, 2)), bias=rng.normal(size=2))
+    params = _conv(2, 3, 3, stride=2,
+                   kernel=rng.normal(size=(2, 3, 3)), bias=rng.normal(size=2))
     x = rng.normal(size=(2, 3, 9))
     assert _fd_check_conv(params, x) < 1e-6
 
 
 @settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 10_000))
-def test_conv_adjoint_consistency(seed):
-    # <backward(g), v> == <g, forward(v) - forward(0)> for the linear part
+@given(seed=st.integers(0, 10_000), batch=st.integers(1, 4),
+       out_c=st.integers(1, 3), in_c=st.integers(1, 3), k=st.integers(1, 4),
+       stride=st.integers(1, 4), extra=st.integers(0, 12))
+def test_conv_adjoint_consistency(seed, batch, out_c, in_c, k, stride, extra):
+    # conv(x) - bias is linear in x and in the kernel, so with u the upstream
+    # <conv(x) - bias, u> == <x, conv^T(u)> == <kernel, dkernel> and
+    # dbias == sum(u) over batch and width
     rng = np.random.default_rng(seed)
-    params = _conv(2, 2, 2, dilation=2,
-                   kernel=rng.normal(size=(2, 2, 2)), bias=rng.normal(size=2))
-    x = rng.normal(size=(1, 2, 7))
-    out_shape = conv1d_forward(x, params).shape
-    g = rng.normal(size=out_shape)
-    v = rng.normal(size=x.shape)
+    params = _conv(out_c, in_c, k, stride,
+                   kernel=rng.normal(size=(out_c, in_c, k)),
+                   bias=rng.normal(size=out_c))
+    x = rng.normal(size=(batch, in_c, k + extra))
+    lin = conv1d_forward(x, params) - params.bias[None, :, None]
+    u = rng.normal(size=lin.shape)
     zero_grads(params)
-    lhs = float(np.sum(conv1d_backward(g, x, params) * v))
-    lin = conv1d_forward(v, params) - params.bias[None, :, None]
-    rhs = float(np.sum(g * lin))
-    assert abs(lhs - rhs) < 1e-8
+    d_x = conv1d_backward(u, x, params)
+    forward_side = float(np.sum(lin * u))
+    # bounds the sum of |x * kernel * u| over every product the three share
+    scale = np.sum(np.abs(x)) * np.sum(np.abs(params.kernel)) * np.max(np.abs(u))
+    assert abs(forward_side - float(np.sum(x * d_x))) <= 1e-13 * scale
+    kernel_side = float(np.sum(params.kernel * params.grads["kernel"]))
+    assert abs(forward_side - kernel_side) <= 1e-13 * scale
+    assert np.array_equal(params.grads["bias"], u.sum(axis=(0, 2)))
 
 
 # ---------------------------------------------------------------------------
