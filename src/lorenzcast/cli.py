@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import itertools
 import os
 import sys
 import time
@@ -25,10 +26,14 @@ from . import models as model_zoo
 from .lorenz import NonFinite, SERIES_NAMES, euler_integrate, save_series_csv
 from .nn_core import grad_check, load_params_csv, param_count, save_params_csv
 from .train_eval import (
+    INIT_VARIANT,
     SCENARIOS,
+    EvalReport,
     TrainConfig,
+    aggregate_reports,
     build_model,
     evaluate,
+    grid_jobs,
     mae_loss,
     predict_dataset,
     prepare_data,
@@ -83,6 +88,8 @@ def write_csv_atomic(path: str, header: list[str], rows) -> None:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -179,6 +186,18 @@ def resolve_out_dir(arg: str | None, default_name: str) -> str:
     return base if base is not None else os.path.join("runs", default_name)
 
 
+def _scenario_record(scenario) -> dict:
+    params, init = scenario.params, scenario.init
+    return {"sigma": params.sigma, "rho": params.rho, "beta": params.beta,
+            "dt": params.dt, "init_x": init.x, "init_y": init.y,
+            "init_z": init.z}
+
+
+def _write_report(path: str, report: EvalReport) -> None:
+    rows = [[_fmt(row[c]) for c in REPORT_COLUMNS] for row in report.rows()]
+    write_csv_atomic(path, REPORT_COLUMNS, rows)
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -203,13 +222,7 @@ def cmd_generate(args) -> int:
         "command": "generate",
         "scenario": scenario.name,
         "points": len(series),
-        "sigma": scenario.params.sigma,
-        "rho": scenario.params.rho,
-        "beta": scenario.params.beta,
-        "dt": scenario.params.dt,
-        "init_x": scenario.init.x,
-        "init_y": scenario.init.y,
-        "init_z": scenario.init.z,
+        **_scenario_record(scenario),
     })
     print(f"wrote {len(series)}-row trajectory and pairwise files to {out_dir}")
     return EXIT_OK
@@ -219,36 +232,20 @@ def cmd_generate(args) -> int:
 # train / eval
 
 
-def _train_overrides(args) -> dict:
-    keys = ("model", "conditional", "multitask", "target", "scenario", "seed",
-            "epochs", "batch_size", "sampling", "window", "learning_rate",
-            "l2_lambda", "dropout", "stack_channels")
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
-
-
 def _write_run_outputs(out_dir: str, config: TrainConfig, result,
                        report) -> None:
     _write_atomic(os.path.join(out_dir, "checkpoint.csv"),
                   lambda tmp: save_params_csv(result.model.params, tmp))
 
     record = {"command": "train", **config_record(config)}
-    scenario = SCENARIOS[config.scenario]
     comments = {
-        "param_count": result.metadata["param_count"],
-        "init_variant": result.metadata["init_variant"],
-        "train_seconds": result.metadata["train_seconds"],
-        "sigma": scenario.params.sigma,
-        "rho": scenario.params.rho,
-        "beta": scenario.params.beta,
-        "dt": scenario.params.dt,
-        "init_x": scenario.init.x,
-        "init_y": scenario.init.y,
-        "init_z": scenario.init.z,
+        "param_count": result.param_count,
+        "init_variant": INIT_VARIANT[config.model],
+        "train_seconds": result.train_seconds,
+        **_scenario_record(SCENARIOS[config.scenario]),
     }
     write_meta(os.path.join(out_dir, "run_meta.txt"), record, comments)
-
-    rows = [[_fmt(row[c]) for c in REPORT_COLUMNS] for row in report.rows()]
-    write_csv_atomic(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS, rows)
+    _write_report(os.path.join(out_dir, "report.csv"), report)
     _write_predictions(out_dir, config, result)
     write_csv_atomic(
         os.path.join(out_dir, "loss_history.csv"), ["epoch", "train_loss"],
@@ -275,7 +272,8 @@ def _write_predictions(out_dir: str, config: TrainConfig, result) -> None:
 
 def cmd_train(args) -> int:
     record = read_meta(args.config) if args.config else {}
-    config = config_from_record(record, _train_overrides(args))
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    config = config_from_record(record, overrides)
     if config.resolved_epochs < 1:  # the library allows 0 (an untrained model)
         raise UsageError("epochs must be >= 1")
     out_dir = resolve_out_dir(
@@ -302,14 +300,8 @@ def cmd_eval(args) -> int:
         load_params_csv(model.params, ckpt_path)
     except ValueError as exc:
         raise UsageError(f"bad checkpoint {ckpt_path}: {exc}") from None
-    info = {"model": config.model, "conditional": config.conditional,
-            "multitask": config.multitask, "scenario": config.scenario,
-            "seed": config.seed}
-    report = evaluate(model, test_ds, scale=scaled.scale, info=info)
-    out_dir = args.out or run_dir
-    rows = [[_fmt(row[c]) for c in REPORT_COLUMNS] for row in report.rows()]
-    write_csv_atomic(os.path.join(out_dir, "eval_report.csv"),
-                     REPORT_COLUMNS, rows)
+    report = evaluate(model, test_ds, config, scale=scaled.scale)
+    _write_report(os.path.join(args.out or run_dir, "eval_report.csv"), report)
     for series, value in report.rmse_scaled.items():
         print(f"{config.model} series={series} rmse_scaled={value:.6g}")
     return EXIT_OK
@@ -379,115 +371,76 @@ def cmd_grad_check(args) -> int:
 # reproduce
 
 
-def _grid_cells():
-    """(cell label, base config kwargs, per-run targets). A target of None
-    means one multitask run covering all three series."""
-    cells = []
-    for scenario in ("A", "B"):
-        cells.append((f"wavenet-unconditional-{scenario}",
-                      dict(model="wavenet", scenario=scenario), list(SERIES_NAMES)))
-        cells.append((f"wavenet-conditional-{scenario}",
-                      dict(model="wavenet", conditional=True, scenario=scenario),
-                      list(SERIES_NAMES)))
-        cells.append((f"lstm-unconditional-{scenario}",
-                      dict(model="lstm", scenario=scenario), list(SERIES_NAMES)))
-        cells.append((f"lstm-conditional-{scenario}",
-                      dict(model="lstm", conditional=True, scenario=scenario),
-                      list(SERIES_NAMES)))
-    cells.append(("wavenet-multitask-A",
-                  dict(model="wavenet", conditional=True, multitask=True,
-                       scenario="A"), [None]))
-    cells.append(("lstm-unconditional-adjacent-A",
-                  dict(model="lstm", sampling="adjacent", scenario="A"),
-                  list(SERIES_NAMES)))
-    cells.append(("ffn-baseline-A", dict(model="ffn", scenario="A"),
-                  list(SERIES_NAMES)))
-    return cells
+RUNS_COLUMNS = ["cell", "model", "conditional", "multitask", "sampling",
+                "scenario", "seed", "series", "rmse_scaled", "rmse_raw",
+                "wall_seconds", "status"]
+TABLE_COLUMNS = ["cell", "series", "rmse_mean", "rmse_std", "n_seeds", "status"]
 
 
-def _reproduce_job(job):
-    """One (cell, config) training; returns runs.csv rows. Worker-safe."""
-    cell, kwargs, seed = job
-    config = TrainConfig(seed=seed, **kwargs)
+def _reproduce_job(config: TrainConfig):
+    """One grid run: its EvalReport, or a "failed: ..." status. Worker-safe."""
     try:
-        _, report = train_and_evaluate(config)
-    except Exception as exc:  # failed cells are marked, not fatal
-        return [[cell, kwargs.get("model"), kwargs.get("conditional", False),
-                 kwargs.get("multitask", False), kwargs.get("sampling", "shuffled"),
-                 kwargs.get("scenario"), seed, kwargs.get("target", "?"),
-                 "", "", "", f"failed: {exc}"]]
-    rows = []
-    for row in report.rows():
-        rows.append([
-            cell, row["model"], _fmt(row["conditional"]), _fmt(row["multitask"]),
-            kwargs.get("sampling", "shuffled"), row["scenario"], row["seed"],
-            row["series"], f"{row['rmse_scaled']:.17g}", f"{row['rmse_raw']:.17g}",
-            _fmt(row["wall_seconds"]), "ok",
-        ])
-    return rows
+        return train_and_evaluate(config)[1]
+    except Exception as exc:  # failed runs are marked, not fatal
+        return f"failed: {exc}"
+
+
+def _print_progress(jobs, done: int) -> None:
+    cell, config = jobs[done - 1]
+    print(f"[{done}/{len(jobs)}] {cell} seed={config.seed} done")
 
 
 def cmd_reproduce(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise UsageError(f"--seeds must be comma-separated integers, "
+                         f"got {args.seeds!r}") from None
     out_dir = resolve_out_dir(args.out, "reproduce")
     os.makedirs(out_dir, exist_ok=True)
-
-    jobs = []
-    for cell, base, targets in _grid_cells():
-        for seed in seeds:
-            for target in targets:
-                kwargs = dict(base)
-                if target is not None:
-                    kwargs["target"] = target
-                jobs.append((cell, kwargs, seed))
+    jobs = grid_jobs(seeds)
+    configs = [config for _, config in jobs]
 
     started = time.perf_counter()
-    results: dict[int, list] = {}
+    outcomes = []
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            for i, rows in zip(range(len(jobs)), pool.map(_reproduce_job, jobs)):
-                results[i] = rows
-                print(f"[{i + 1}/{len(jobs)}] {jobs[i][0]} seed={jobs[i][2]} done")
+            for outcome in pool.map(_reproduce_job, configs):
+                outcomes.append(outcome)
+                _print_progress(jobs, len(outcomes))
     else:
-        for i, job in enumerate(jobs):
-            results[i] = _reproduce_job(job)
-            print(f"[{i + 1}/{len(jobs)}] {job[0]} seed={job[2]} done")
+        for config in configs:
+            outcomes.append(_reproduce_job(config))
+            _print_progress(jobs, len(outcomes))
 
-    runs_header = ["cell", "model", "conditional", "multitask", "sampling",
-                   "scenario", "seed", "series", "rmse_scaled", "rmse_raw",
-                   "wall_seconds", "status"]
-    runs_rows = [row for i in sorted(results) for row in results[i]]
-    write_csv_atomic(os.path.join(out_dir, "runs.csv"), runs_header, runs_rows)
-
-    # aggregate into the results-table layout: one row per cell and series
-    table_rows = []
-    for cell, _, _ in _grid_cells():
-        by_series: dict[str, list[float]] = {}
-        failed = False
-        for row in runs_rows:
-            if row[0] != cell:
-                continue
-            if row[11] != "ok":
-                failed = True
-                continue
-            by_series.setdefault(row[7], []).append(float(row[8]))
+    # one runs.csv row per run and series; one table.csv row per cell and series
+    runs_rows, table_rows = [], []
+    for cell, runs in itertools.groupby(zip(jobs, outcomes),
+                                        key=lambda run: run[0][0]):
+        reports, failed = [], []
+        for (_, config), outcome in runs:
+            label = [cell, config.model, _fmt(config.conditional),
+                     _fmt(config.multitask), config.sampling, config.scenario,
+                     config.seed]
+            if isinstance(outcome, EvalReport):
+                reports.append(outcome)
+                runs_rows += [label + [series, _fmt(value),
+                                       _fmt(outcome.rmse_raw[series]),
+                                       _fmt(outcome.wall_seconds), "ok"]
+                              for series, value in outcome.rmse_scaled.items()]
+            else:
+                covered = SERIES_NAMES if config.multitask else (config.target,)
+                failed += covered
+                runs_rows += [label + [series, "", "", "", outcome]
+                              for series in covered]
+        summary = aggregate_reports(reports, failed)
         for series in SERIES_NAMES:
-            values = by_series.get(series, [])
-            if not values:
-                table_rows.append([cell, series, "", "", 0, "failed"])
-                continue
-            mean = float(np.mean(values))
-            std = float(np.std(values, ddof=1)) if len(values) >= 2 else ""
-            table_rows.append([
-                cell, series, f"{mean:.17g}",
-                "" if std == "" else f"{std:.17g}", len(values),
-                "partial" if failed else "ok",
-            ])
-    write_csv_atomic(
-        os.path.join(out_dir, "table.csv"),
-        ["cell", "series", "rmse_mean", "rmse_std", "n_seeds", "status"],
-        table_rows,
-    )
+            mean, std, n_seeds, status = summary[series]
+            table_rows.append([cell, series, _fmt(mean), _fmt(std), n_seeds,
+                               status])
+    write_csv_atomic(os.path.join(out_dir, "runs.csv"), RUNS_COLUMNS, runs_rows)
+    write_csv_atomic(os.path.join(out_dir, "table.csv"), TABLE_COLUMNS,
+                     table_rows)
     write_meta(os.path.join(out_dir, "run_meta.txt"), {
         "command": "reproduce",
         "seeds": args.seeds,

@@ -279,14 +279,3 @@ def save_series_csv(series_set: SeriesSet, path) -> None:
             writer.writerow(
                 [t] + [f"{series_set.series(n)[t]:.17g}" for n in SERIES_NAMES]
             )
-
-
-def load_series_csv(path) -> SeriesSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "x", "y", "z"]:
-            raise ValueError(f"unexpected header {header!r}")
-        rows = [[float(v) for v in row[1:4]] for row in reader]
-    arr = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-    return SeriesSet(arr[:, 0], arr[:, 1], arr[:, 2])

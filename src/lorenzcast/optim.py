@@ -16,7 +16,7 @@ import numpy as np
 
 from .nn_core import ShapeMismatch
 
-INIT_VARIANTS = ("xavier", "he", "zeros")
+INIT_VARIANTS = ("xavier", "he")
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,6 @@ def init_array(rng, shape, fan_in, fan_out, variant):
         return xavier_uniform(rng, shape, fan_in, fan_out)
     if variant == "he":
         return he_normal(rng, shape, fan_in)
-    if variant == "zeros":
-        return np.zeros(shape, dtype=np.float64)
     raise ValueError(f"unknown init variant {variant!r}")
 
 

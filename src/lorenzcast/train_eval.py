@@ -146,6 +146,44 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
+# the results grid
+
+# cell label -> (TrainConfig kwargs, targets), one entry per results-table
+# cell. A target of None is one multitask run covering all three series.
+RESULTS_GRID: dict[str, tuple[dict, tuple]] = {
+    **{f"{model}-{kind}-{scenario}": (
+        dict(model=model, conditional=kind == "conditional", scenario=scenario),
+        SERIES_NAMES)
+       for scenario in ("A", "B")
+       for model in ("wavenet", "lstm")
+       for kind in ("unconditional", "conditional")},
+    # the tuned multitask cell: z-weighted joint loss, 150 epochs
+    "wavenet-multitask-A": (
+        dict(model="wavenet", conditional=True, multitask=True,
+             task_weights=(0.2, 0.2, 0.6), epochs=150, scenario="A"),
+        (None,)),
+    "lstm-unconditional-adjacent-A": (
+        dict(model="lstm", sampling="adjacent", scenario="A"), SERIES_NAMES),
+    "ffn-baseline-A": (dict(model="ffn", scenario="A"), SERIES_NAMES),
+}
+
+
+def cell_config(cell: str, seed: int, target: str | None) -> TrainConfig:
+    """The config of one run of a results-grid cell."""
+    kwargs = dict(RESULTS_GRID[cell][0], seed=seed)
+    if target is not None:
+        kwargs["target"] = target
+    return TrainConfig(**kwargs)
+
+
+def grid_jobs(seeds) -> list[tuple[str, TrainConfig]]:
+    """(cell, config) for every run of the grid, cell by cell."""
+    return [(cell, cell_config(cell, seed, target))
+            for cell, (_, targets) in RESULTS_GRID.items()
+            for seed in seeds for target in targets]
+
+
+# ---------------------------------------------------------------------------
 # losses and metric
 
 
@@ -279,8 +317,10 @@ def build_model(config: TrainConfig):
 @dataclass
 class TrainResult:
     model: object
+    config: TrainConfig
     loss_history: list[float]
-    metadata: dict
+    param_count: int
+    train_seconds: float
     train_ds: WindowedDataset = field(repr=False, default=None)
     test_ds: WindowedDataset = field(repr=False, default=None)
     scale: dict = field(repr=False, default=None)
@@ -342,19 +382,10 @@ def train(config: TrainConfig) -> TrainResult:
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
 
-    metadata = {
-        # the first five label evaluate()'s report
-        "model": config.model,
-        "conditional": config.conditional,
-        "multitask": config.multitask,
-        "scenario": config.scenario,
-        "seed": config.seed,
-        "init_variant": INIT_VARIANT[config.model],
-        "param_count": model_zoo.param_count(model.params),
-        "train_seconds": round(time.perf_counter() - start, 3),
-    }
-    return TrainResult(model, history, metadata, train_ds, test_ds,
-                       scaled.scale)
+    return TrainResult(model, config, history,
+                       model_zoo.param_count(model.params),
+                       round(time.perf_counter() - start, 3),
+                       train_ds, test_ds, scaled.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +394,7 @@ def train(config: TrainConfig) -> TrainResult:
 
 @dataclass
 class EvalReport:
-    model: str
-    conditional: bool
-    multitask: bool
-    scenario: str
-    seed: int
+    config: TrainConfig
     rmse_scaled: dict[str, float]
     rmse_raw: dict[str, float]
     wall_seconds: float
@@ -377,11 +404,11 @@ class EvalReport:
         out = []
         for series in self.rmse_scaled:
             out.append({
-                "model": self.model,
-                "conditional": self.conditional,
-                "multitask": self.multitask,
-                "scenario": self.scenario,
-                "seed": self.seed,
+                "model": self.config.model,
+                "conditional": self.config.conditional,
+                "multitask": self.config.multitask,
+                "scenario": self.config.scenario,
+                "seed": self.config.seed,
                 "series": series,
                 "rmse_scaled": self.rmse_scaled[series],
                 "rmse_raw": self.rmse_raw[series],
@@ -400,9 +427,9 @@ def predict_dataset(model, dataset: WindowedDataset,
     return preds
 
 
-def evaluate(model, test_ds: WindowedDataset, scale=None, info=None,
+def evaluate(model, test_ds: WindowedDataset, config: TrainConfig, scale=None,
              wall_seconds: float = 0.0) -> EvalReport:
-    """Per-series test RMSE with minibatch size one.
+    """Per-series test RMSE with minibatch size one, labelled by `config`.
 
     RMSE is computed in the scaled [-0.5, 0.5] space; when the per-series
     ScaleTransforms are supplied, the unscaled-space RMSE is reported
@@ -419,38 +446,34 @@ def evaluate(model, test_ds: WindowedDataset, scale=None, info=None,
             rmse_raw[series] = rmse(tf.invert(p), tf.invert(t))
         else:
             rmse_raw[series] = rmse_scaled[series]
-    info = info or {}
-    return EvalReport(
-        model=info.get("model", getattr(model, "kind", "unknown")),
-        conditional=info.get("conditional", False),
-        multitask=info.get("multitask", False),
-        scenario=info.get("scenario", "?"),
-        seed=info.get("seed", -1),
-        rmse_scaled=rmse_scaled,
-        rmse_raw=rmse_raw,
-        wall_seconds=round(wall_seconds + time.perf_counter() - start, 3),
-    )
+    return EvalReport(config, rmse_scaled, rmse_raw,
+                      round(wall_seconds + time.perf_counter() - start, 3))
 
 
 def train_and_evaluate(config: TrainConfig) -> tuple[TrainResult, EvalReport]:
     result = train(config)
-    report = evaluate(
-        result.model, result.test_ds, scale=result.scale,
-        info=result.metadata, wall_seconds=result.metadata["train_seconds"],
-    )
-    report.seed = config.seed
+    report = evaluate(result.model, result.test_ds, config, scale=result.scale,
+                      wall_seconds=result.train_seconds)
     return result, report
 
 
-def aggregate_reports(reports: list[EvalReport]):
-    """Per-series mean and std of scaled RMSE over seeds (std needs >= 2)."""
-    by_series: dict[str, list[float]] = {}
+def aggregate_reports(reports: list[EvalReport], failed=()):
+    """Per-series (mean, std, n_ok, status) of scaled RMSE over seeds.
+
+    `failed` names the series of each failed run, once per run. mean needs
+    one successful run and std two, else they are None. status is "ok"
+    when every run of the series succeeded, "partial" when some did and
+    "failed" when none did.
+    """
+    by_series: dict[str, list[float]] = {series: [] for series in failed}
     for report in reports:
         for series, value in report.rmse_scaled.items():
             by_series.setdefault(series, []).append(value)
     out = {}
     for series, values in by_series.items():
-        mean = float(np.mean(values))
+        mean = float(np.mean(values)) if values else None
         std = float(np.std(values, ddof=1)) if len(values) >= 2 else None
-        out[series] = (mean, std)
+        status = ("failed" if not values else
+                  "partial" if series in failed else "ok")
+        out[series] = (mean, std, len(values), status)
     return out

@@ -1,8 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each criterion prints one [PASS]/[FAIL] line (visible with pytest -s).
-Trained cells are cached per config, so the full gate runs each training
-once. Expect a few minutes of wall time for the results criteria.
+The results criteria train cells of train_eval.RESULTS_GRID, the grid that
+`lorenzcast reproduce` runs. Trained cells are cached per config, so the
+full gate runs each training once. Expect a few minutes of wall time for
+the results criteria.
 """
 
 import functools
@@ -24,6 +26,7 @@ from lorenzcast.lorenz import (
 from lorenzcast.nn_core import conv1d_forward, named_parameters
 from lorenzcast.train_eval import (
     TrainConfig,
+    cell_config,
     make_batches,
     prepare_data,
     train_and_evaluate,
@@ -45,10 +48,10 @@ def _report(config: TrainConfig):
     return report
 
 
-def _best_over_seeds(series, **kwargs):
+def _best_over_seeds(cell, series):
     values = {}
     for seed in SEEDS:
-        report = _report(TrainConfig(seed=seed, **kwargs))
+        report = _report(cell_config(cell, seed, series))
         values[seed] = report.rmse_scaled[series]
     return min(values.values()), values
 
@@ -110,7 +113,7 @@ def test_criterion_3_parameter_counts():
 
 
 def test_criterion_4a_unconditional_wavenet_x():
-    best, values = _best_over_seeds("x", model="wavenet", target="x")
+    best, values = _best_over_seeds("wavenet-unconditional-A", "x")
     _line("C4a", best <= 0.015,
           f"unconditional wavenet A x best={best:.5f} <= 0.015 ({values})")
 
@@ -120,8 +123,7 @@ def test_criterion_4b_conditional_wavenet_scenario_a():
     bests = {}
     ok = True
     for series, bound in bounds.items():
-        best, _ = _best_over_seeds(series, model="wavenet", conditional=True,
-                                   target=series)
+        best, _ = _best_over_seeds("wavenet-conditional-A", series)
         bests[series] = best
         ok &= best <= bound
     _line("C4b", ok,
@@ -133,8 +135,7 @@ def test_criterion_4c_conditional_lstm_scenario_a():
     bests = {}
     ok = True
     for series in ("x", "y", "z"):
-        best, _ = _best_over_seeds(series, model="lstm", conditional=True,
-                                   target=series)
+        best, _ = _best_over_seeds("lstm-conditional-A", series)
         bests[series] = best
         ok &= best <= 0.01
     _line("C4c", ok,
@@ -147,23 +148,18 @@ def test_criterion_4d_scenario_b_conditional_models():
     details = []
     for model in ("wavenet", "lstm"):
         for series in ("x", "y", "z"):
-            best, _ = _best_over_seeds(series, model=model, conditional=True,
-                                       target=series, scenario="B")
+            best, _ = _best_over_seeds(f"{model}-conditional-B", series)
             ok &= best <= 0.04
             details.append(f"{model}-{series}={best:.5f}")
     _line("C4d", ok, "scenario B best " + ", ".join(details) + " (each <= 0.04)")
 
 
 def test_criterion_4e_multitask_beats_conditional_z():
-    # tuned multitask cell: z-weighted joint loss, 150 epochs (see README)
     wins = 0
     details = []
     for seed in SEEDS:
-        multi = _report(TrainConfig(
-            model="wavenet", conditional=True, multitask=True,
-            task_weights=(0.2, 0.2, 0.6), epochs=150, seed=seed))
-        single = _report(TrainConfig(
-            model="wavenet", conditional=True, target="z", seed=seed))
+        multi = _report(cell_config("wavenet-multitask-A", seed, None))
+        single = _report(cell_config("wavenet-conditional-A", seed, "z"))
         m, s = multi.rmse_scaled["z"], single.rmse_scaled["z"]
         wins += m < s
         details.append(f"seed {seed}: {m:.5f} vs {s:.5f}")
@@ -175,12 +171,11 @@ def test_criterion_4e_multitask_beats_conditional_z():
 def test_criterion_4f_ffn_baseline():
     ffn_bests = {}
     for series in ("x", "y", "z"):
-        ffn_bests[series], _ = _best_over_seeds(series, model="ffn",
-                                                target=series)
+        ffn_bests[series], _ = _best_over_seeds("ffn-baseline-A", series)
     ffn_avg = float(np.mean(list(ffn_bests.values())))
 
     def deep_avg(model):
-        vals = [_best_over_seeds(s, model=model, conditional=True, target=s)[0]
+        vals = [_best_over_seeds(f"{model}-conditional-A", s)[0]
                 for s in ("x", "y", "z")]
         return float(np.mean(vals))
 
@@ -301,9 +296,9 @@ def test_criterion_7_conditioning_helps():
     for model in ("wavenet", "lstm"):
         improved = []
         for series in ("x", "y", "z"):
-            uncond = _report(TrainConfig(model=model, target=series, seed=seed))
-            cond = _report(TrainConfig(model=model, conditional=True,
-                                       target=series, seed=seed))
+            uncond = _report(cell_config(f"{model}-unconditional-A", seed,
+                                         series))
+            cond = _report(cell_config(f"{model}-conditional-A", seed, series))
             if cond.rmse_scaled[series] < uncond.rmse_scaled[series]:
                 improved.append(series)
         ok &= bool(improved)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lorenzcast import cli
+from lorenzcast import cli, train_eval
 from lorenzcast import models as mz
+from lorenzcast.lorenz import NonFinite
 from lorenzcast.train_eval import TrainConfig
 
 
@@ -306,6 +307,77 @@ def test_grad_check_corrupted_backward_fails(monkeypatch):
     monkeypatch.setattr(cli, "GRAD_CHECK_CASES", ["ffn"])
     monkeypatch.setattr(mz, "ffn_backward", corrupted)
     assert cli.main(["grad-check"]) == cli.EXIT_NUMERIC
+
+
+# ---------------------------------------------------------------------------
+# reproduce
+
+
+def _reproduce(tmp_path, monkeypatch, fail):
+    """Run reproduce over two 1-epoch ffn cells at seeds 1 and 2; train
+    raises NonFinite for the (scenario, seed, target) runs in `fail`."""
+    grid = {"ffn-A": (dict(model="ffn", epochs=1, scenario="A"), ("x", "y", "z")),
+            "ffn-B": (dict(model="ffn", epochs=1, scenario="B"), ("x", "y", "z"))}
+    monkeypatch.setattr(train_eval, "RESULTS_GRID", grid)
+    real_train = train_eval.train
+
+    def flaky_train(config):
+        if (config.scenario, config.seed, config.target) in fail:
+            raise NonFinite("planted divergence")
+        return real_train(config)
+
+    monkeypatch.setattr(train_eval, "train", flaky_train)
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--seeds", "1,2", "--workers", "1",
+                     "--out", str(out)]) == 0
+    return _read_csv(out / "runs.csv"), _read_csv(out / "table.csv")
+
+
+def test_reproduce_marks_a_failed_run_on_its_series_only(tmp_path, monkeypatch):
+    runs, table = _reproduce(tmp_path, monkeypatch, fail={("A", 2, "z")})
+    assert runs[0] == ["cell", "model", "conditional", "multitask", "sampling",
+                       "scenario", "seed", "series", "rmse_scaled", "rmse_raw",
+                       "wall_seconds", "status"]
+    assert table[0] == ["cell", "series", "rmse_mean", "rmse_std", "n_seeds",
+                        "status"]
+    assert len(runs) == 1 + 12
+    (failed,) = [row for row in runs[1:] if row[-1] != "ok"]
+    assert failed == ["ffn-A", "ffn", "false", "false", "shuffled", "A", "2",
+                      "z", "", "", "", "failed: planted divergence"]
+    status = {(row[0], row[1]): row[5] for row in table[1:]}
+    assert status.pop(("ffn-A", "z")) == "partial"
+    assert set(status.values()) == {"ok"}
+
+    # every table value is the aggregator's over the runs that succeeded
+    for cell in ("ffn-A", "ffn-B"):
+        reports = [train_eval.train_and_evaluate(
+                       train_eval.cell_config(cell, seed, target))[1]
+                   for seed in (1, 2) for target in ("x", "y", "z")
+                   if (cell, seed, target) != ("ffn-A", 2, "z")]
+        summary = train_eval.aggregate_reports(
+            reports, ["z"] if cell == "ffn-A" else [])
+        for row in table[1:]:
+            if row[0] == cell:
+                mean, std, n_ok, status = summary[row[1]]
+                assert float(row[2]) == mean
+                assert (float(row[3]) if row[3] else None) == std
+                assert (int(row[4]), row[5]) == (n_ok, status)
+
+
+def test_reproduce_all_runs_of_a_series_failed(tmp_path, monkeypatch):
+    _, table = _reproduce(tmp_path, monkeypatch,
+                          fail={("B", 1, "y"), ("B", 2, "y")})
+    assert ["ffn-B", "y", "", "", "0", "failed"] in table
+    assert [row[5] for row in table[1:]].count("ok") == 5
+
+
+@pytest.mark.parametrize("seeds", ["1,x", "", "1,,2", "1.5"])
+def test_reproduce_bad_seeds_usage_error(tmp_path, capsys, seeds):
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--seeds", seeds, "--workers", "1",
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,8 @@ def test_init_params_per_array_streams_independent():
 def test_init_scheme_validates_variant():
     with pytest.raises(ValueError):
         InitScheme("glorot", 0)
-
-
-def test_init_zeros():
-    (arr,) = init_params([((3, 3), 3, 3)], InitScheme("zeros", 0))
-    assert np.array_equal(arr, np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        InitScheme("zeros", 0)  # no model initialises to zeros
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ from lorenzcast.nn_core import named_parameters
 from lorenzcast.optim import AdamState, adam_step
 from lorenzcast.train_eval import (
     EmptyBatch,
+    RESULTS_GRID,
     SCENARIOS,
     TrainConfig,
     WeightMismatch,
     aggregate_reports,
     build_model,
+    cell_config,
     evaluate,
+    grid_jobs,
     mae_loss,
     make_batches,
     multitask_loss,
@@ -293,7 +296,7 @@ class _ZeroModel:
 def test_evaluate_perfect_oracle_zero_rmse():
     config = TrainConfig(model="wavenet", target="x")
     _, test_ds, scaled = prepare_data(config)
-    report = evaluate(_OracleModel(test_ds), test_ds, scale=scaled.scale)
+    report = evaluate(_OracleModel(test_ds), test_ds, config, scale=scaled.scale)
     assert report.rmse_scaled["x"] == 0.0
     assert report.rmse_raw["x"] == 0.0
 
@@ -301,13 +304,12 @@ def test_evaluate_perfect_oracle_zero_rmse():
 def test_evaluate_zero_model_matches_target_rms():
     config = TrainConfig(model="wavenet", target="x")
     _, test_ds, scaled = prepare_data(config)
-    report = evaluate(_ZeroModel(1), test_ds, scale=scaled.scale)
+    report = evaluate(_ZeroModel(1), test_ds, config, scale=scaled.scale)
     expected = float(np.sqrt(np.mean(test_ds.targets[:, 0] ** 2)))
     assert abs(report.rmse_scaled["x"] - expected) < 1e-15
 
 
 def test_aggregate_reports_mean_std():
-    config = TrainConfig(model="ffn", epochs=1)
     reports = []
     for seed in (1234, 1235, 42):
         _, report = train_and_evaluate(
@@ -315,11 +317,32 @@ def test_aggregate_reports_mean_std():
         reports.append(report)
     agg = aggregate_reports(reports)
     values = [r.rmse_scaled["x"] for r in reports]
-    mean, std = agg["x"]
+    mean, std, n_ok, status = agg["x"]
     assert abs(mean - np.mean(values)) < 1e-15
     assert abs(std - np.std(values, ddof=1)) < 1e-15
+    assert (n_ok, status) == (3, "ok")
     single = aggregate_reports(reports[:1])
     assert single["x"][1] is None  # std needs >= 2 seeds
+    # a failed run makes its series partial, or failed when no run succeeded
+    assert aggregate_reports(reports[:2], failed=["x"])["x"] == (
+        float(np.mean(values[:2])), float(np.std(values[:2], ddof=1)), 2,
+        "partial")
+    assert aggregate_reports([], failed=["x", "x"]) == {
+        "x": (None, None, 0, "failed")}
+
+
+def test_results_grid_pins_the_tuned_multitask_cell():
+    assert len(RESULTS_GRID) == 11
+    assert len(grid_jobs([1234])) == 31
+    assert len(grid_jobs([1234, 1235, 42])) == 93
+    multitask = [cell for cell, (kwargs, _) in RESULTS_GRID.items()
+                 if kwargs.get("multitask")]
+    assert multitask == ["wavenet-multitask-A"]
+    assert RESULTS_GRID["wavenet-multitask-A"][1] == (None,)
+    for seed in (1234, 1235, 42):
+        assert cell_config("wavenet-multitask-A", seed, None) == TrainConfig(
+            model="wavenet", conditional=True, multitask=True,
+            task_weights=(0.2, 0.2, 0.6), epochs=150, seed=seed)
 
 
 def test_evaluate_report_rows_schema():
