@@ -5,7 +5,8 @@ writes a flat key=value metadata record that is itself a valid --config
 file, so any run can be replayed from its output directory alone. All
 file output is atomic (temp file + rename).
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 IO failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (for reproduce:
+any failed run), 3 IO failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from . import models as model_zoo
 from .lorenz import NonFinite, SERIES_NAMES, euler_integrate, save_series_csv
 from .nn_core import grad_check, load_params_csv, param_count, save_params_csv
 from .train_eval import (
-    INIT_VARIANT,
     SCENARIOS,
     EvalReport,
     TrainConfig,
@@ -240,7 +240,7 @@ def _write_run_outputs(out_dir: str, config: TrainConfig, result,
     record = {"command": "train", **config_record(config)}
     comments = {
         "param_count": result.param_count,
-        "init_variant": INIT_VARIANT[config.model],
+        "init_variant": model_zoo.INIT_VARIANT[config.model],
         "train_seconds": result.train_seconds,
         **_scenario_record(SCENARIOS[config.scenario]),
     }
@@ -311,28 +311,32 @@ def cmd_eval(args) -> int:
 # grad-check
 
 
+# case -> the model it checks; the stacks run single-channel
+_GRAD_CHECK_CONFIGS = {
+    "ffn": TrainConfig(model="ffn"),
+    "wavenet-unconditional": TrainConfig(model="wavenet", stack_channels=1),
+    "wavenet-conditional": TrainConfig(model="wavenet", conditional=True,
+                                       stack_channels=1),
+    "wavenet-multitask": TrainConfig(model="wavenet", conditional=True,
+                                     multitask=True, stack_channels=1),
+    "lstm": TrainConfig(model="lstm"),
+}
+GRAD_CHECK_CASES = list(_GRAD_CHECK_CONFIGS)
+GRAD_CHECK_BATCH = 3
+
+
 def _grad_check_case(name: str, seed: int):
     """Fresh random model + data, returns (max relative error, n_params)."""
+    config = _GRAD_CHECK_CONFIGS[name]
+    model = build_model(config)
+    channels = 3 if config.conditional else 1
+    shape = (GRAD_CHECK_BATCH, channels, config.resolved_window)
+    if config.layout == "recurrent":
+        shape = (config.resolved_window, GRAD_CHECK_BATCH, channels)
     rng = np.random.default_rng(seed)
-    if name == "ffn":
-        model = model_zoo.FfnModel(model_zoo.FfnParams())
-        inputs = rng.uniform(-0.5, 0.5, size=(3, 1, 5))
-        targets = rng.uniform(-0.5, 0.5, size=(3, 1))
-    elif name.startswith("wavenet"):
-        variant = name.split("-", 1)[1]
-        cfg = model_zoo.WaveNetConfig(
-            in_channels=1 if variant == "unconditional" else 3,
-            n_tasks=3 if variant == "multitask" else 1,
-        )
-        model = model_zoo.WaveNetModel(model_zoo.WaveNetParams(cfg))
-        inputs = rng.uniform(-0.5, 0.5, size=(3, cfg.in_channels, 16))
-        targets = rng.uniform(-0.5, 0.5, size=(3, cfg.n_tasks))
-    elif name == "lstm":
-        model = model_zoo.LstmModel(model_zoo.LstmModelParams(1))
-        inputs = rng.uniform(-0.5, 0.5, size=(16, 3, 1))
-        targets = rng.uniform(-0.5, 0.5, size=(3, 1))
-    else:
-        raise UsageError(f"unknown grad-check case {name!r}")
+    inputs = rng.uniform(-0.5, 0.5, size=shape)
+    targets = rng.uniform(-0.5, 0.5,
+                          size=(GRAD_CHECK_BATCH, 3 if config.multitask else 1))
     # weights and biases alike drawn at O(1) scale
     model.params.theta[...] = rng.uniform(-0.5, 0.5, size=model.params.theta.size)
 
@@ -349,16 +353,11 @@ def _grad_check_case(name: str, seed: int):
     return error, param_count(model.params)
 
 
-GRAD_CHECK_CASES = ["ffn", "wavenet-unconditional", "wavenet-conditional",
-                    "wavenet-multitask", "lstm"]
-
-
 def cmd_grad_check(args) -> int:
     all_ok = True
     print(f"{'case':24s} {'params':>7s} {'max rel err':>12s} {'threshold':>10s}  result")
     for case in GRAD_CHECK_CASES:
-        family = case.split("-")[0]
-        threshold = GRAD_CHECK_THRESHOLDS[family]
+        threshold = GRAD_CHECK_THRESHOLDS[_GRAD_CHECK_CONFIGS[case].model]
         error, n_params = _grad_check_case(case, args.seed)
         ok = error < threshold
         all_ok &= ok
@@ -385,9 +384,15 @@ def _reproduce_job(config: TrainConfig):
         return f"failed: {exc}"
 
 
+def _run_series(config: TrainConfig) -> tuple[str, ...]:
+    """The series one run forecasts: all three for the multitask model."""
+    return SERIES_NAMES if config.multitask else (config.target,)
+
+
 def _print_progress(jobs, done: int) -> None:
     cell, config = jobs[done - 1]
-    print(f"[{done}/{len(jobs)}] {cell} seed={config.seed} done")
+    print(f"[{done}/{len(jobs)}] {cell} seed={config.seed} "
+          f"series={','.join(_run_series(config))} done")
 
 
 def cmd_reproduce(args) -> int:
@@ -429,10 +434,9 @@ def cmd_reproduce(args) -> int:
                                        _fmt(outcome.wall_seconds), "ok"]
                               for series, value in outcome.rmse_scaled.items()]
             else:
-                covered = SERIES_NAMES if config.multitask else (config.target,)
-                failed += covered
+                failed += _run_series(config)
                 runs_rows += [label + [series, "", "", "", outcome]
-                              for series in covered]
+                              for series in _run_series(config)]
         summary = aggregate_reports(reports, failed)
         for series in SERIES_NAMES:
             mean, std, n_seeds, status = summary[series]
@@ -449,6 +453,11 @@ def cmd_reproduce(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"wrote {len(runs_rows)} run rows to {out_dir} "
           f"({elapsed / 60:.1f} min)")
+    n_failed = sum(not isinstance(outcome, EvalReport) for outcome in outcomes)
+    if n_failed:
+        print(f"{n_failed} of {len(outcomes)} runs failed; see runs.csv",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

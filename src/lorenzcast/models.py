@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn_core, optim
+from . import optim
 from .nn_core import (
     ConvLayerParams,
     DenseParams,
@@ -43,11 +43,17 @@ from .nn_core import (
 )
 
 __all__ = [
+    "INIT_VARIANT",
     "WaveNetConfig", "WaveNetParams", "WaveNetModel", "init_wavenet",
     "LstmModelParams", "LstmModel", "init_lstm",
     "FfnParams", "FfnModel", "init_ffn",
     "param_count",
 ]
+
+
+# family -> init variant: He draws for the relu stack, Xavier for the
+# LSTM and the sigmoid feed-forward net
+INIT_VARIANT = {"wavenet": "he", "lstm": "xavier", "ffn": "xavier"}
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +97,9 @@ class WaveNetParams(ParamStore):
             + [(f"head_{j}", p) for j, p in enumerate(self.heads)]
         )
 
-    def conv_kernels(self):
-        """(kernel, grad) pairs for the L2 penalty (kernels only, no biases)."""
-        return [(block.kernel, block.grads["kernel"]) for _, block in self.blocks]
 
-
-def init_wavenet(config: WaveNetConfig, seed: int,
-                 variant: str = "he") -> WaveNetParams:
-    params = WaveNetParams(config)
-    specs = []
-    kernels = []
-    for _, block in params.blocks:
-        out_c, in_c, k = block.kernel.shape
-        specs.append((block.kernel.shape, in_c * k, out_c * k))
-        kernels.append(block.kernel)
-    drawn = optim.init_params(specs, optim.InitScheme(variant, seed))
-    for kernel, values in zip(kernels, drawn):
-        kernel[...] = values
-    return params
+def init_wavenet(config: WaveNetConfig, seed: int) -> WaveNetParams:
+    return optim.init_params(WaveNetParams(config), INIT_VARIANT["wavenet"], seed)
 
 
 def wavenet_forward(inputs: np.ndarray, params: WaveNetParams):
@@ -178,11 +169,8 @@ def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> np.nd
 
 
 class WaveNetModel:
-    kind = "wavenet"
-
     def __init__(self, params: WaveNetParams):
         self.params = params
-        self.config = params.config
 
     def forward(self, batch, training=False, rng=None):
         return wavenet_forward(batch, self.params)
@@ -192,9 +180,6 @@ class WaveNetModel:
 
     def predict(self, batch):
         return wavenet_forward(batch, self.params)[0]
-
-    def l2_arrays(self):
-        return self.params.conv_kernels()
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +200,9 @@ class LstmModelParams(ParamStore):
 
 
 def init_lstm(n_features: int, seed: int, n_hidden: int = 25,
-              dropout_rate: float = 0.10, variant: str = "xavier") -> LstmModelParams:
-    params = LstmModelParams(n_features, n_hidden, dropout_rate)
-    specs, targets = [], []
-    for g in nn_core.LSTM_GATES:
-        specs.append(((n_hidden, n_features), n_features, n_hidden))
-        targets.append(getattr(params.cell, f"W_{g}x"))
-        specs.append(((n_hidden, n_hidden), n_hidden, n_hidden))
-        targets.append(getattr(params.cell, f"W_{g}h"))
-    specs.append(((n_hidden, 1), n_hidden, 1))
-    targets.append(params.head.weights)
-    drawn = optim.init_params(specs, optim.InitScheme(variant, seed))
-    for target, values in zip(targets, drawn):
-        target[...] = values
-    return params
+              dropout_rate: float = 0.10) -> LstmModelParams:
+    return optim.init_params(LstmModelParams(n_features, n_hidden, dropout_rate),
+                             INIT_VARIANT["lstm"], seed)
 
 
 def lstm_model_forward(sequence: np.ndarray, params: LstmModelParams,
@@ -268,8 +242,6 @@ def lstm_model_backward(d_preds: np.ndarray, cache, params: LstmModelParams):
 
 
 class LstmModel:
-    kind = "lstm"
-
     def __init__(self, params: LstmModelParams):
         self.params = params
 
@@ -281,9 +253,6 @@ class LstmModel:
 
     def predict(self, batch):
         return lstm_model_forward(batch, self.params, training=False)[0]
-
-    def l2_arrays(self):
-        return []  # regularized by dropout instead
 
     @staticmethod
     def carry_state(cache):
@@ -307,13 +276,8 @@ class FfnParams(ParamStore):
         super().__init__([("hidden", self.hidden), ("out", self.out)])
 
 
-def init_ffn(seed: int, variant: str = "xavier") -> FfnParams:
-    params = FfnParams()
-    specs = [((FfnParams.WINDOW, 3), FfnParams.WINDOW, 3), ((3, 1), 3, 1)]
-    drawn = optim.init_params(specs, optim.InitScheme(variant, seed))
-    params.hidden.weights[...] = drawn[0]
-    params.out.weights[...] = drawn[1]
-    return params
+def init_ffn(seed: int) -> FfnParams:
+    return optim.init_params(FfnParams(), INIT_VARIANT["ffn"], seed)
 
 
 def ffn_forward(inputs: np.ndarray, params: FfnParams):
@@ -334,8 +298,6 @@ def ffn_backward(d_preds: np.ndarray, cache, params: FfnParams):
 
 
 class FfnModel:
-    kind = "ffn"
-
     def __init__(self, params: FfnParams):
         self.params = params
 
@@ -347,6 +309,3 @@ class FfnModel:
 
     def predict(self, batch):
         return ffn_forward(batch, self.params)[0]
-
-    def l2_arrays(self):
-        return []

@@ -33,10 +33,13 @@ class ParamBlock:
     `layout` lists (name, shape) in storage order. Each array and its
     gradient buffer `grads[name]` are C-contiguous views into the two
     vectors, so layer code reads and accumulates into the store directly.
+    `fans` maps each weight array's name to its (fan_in, fan_out); the
+    arrays it does not name are biases.
     """
 
-    def __init__(self, layout):
+    def __init__(self, layout, fans):
         self.layout = list(layout)
+        self.fans = dict(fans)
         size = sum(math.prod(shape) for _, shape in self.layout)
         self.bind(np.zeros(size), np.zeros(size))
 
@@ -66,6 +69,19 @@ class ParamStore:
             block.bind(self.theta[offset:end], self.grad[offset:end])
             offset = end
 
+    def weights_with_fans(self) -> list[tuple[np.ndarray, int, int]]:
+        """(array, fan_in, fan_out) of every weight array, in storage order."""
+        return [(getattr(block, name), *block.fans[name])
+                for _, block in self.blocks
+                for name, _ in block.layout if name in block.fans]
+
+    def conv_kernels(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The conv blocks' kernels and their gradient views."""
+        convs = [block for _, block in self.blocks
+                 if isinstance(block, ConvLayerParams)]
+        return ([block.kernel for block in convs],
+                [block.grads["kernel"] for block in convs])
+
 
 class ConvLayerParams(ParamBlock):
     """1-D convolution parameters: kernel (out_ch, in_ch, k), bias (out_ch,)."""
@@ -77,14 +93,17 @@ class ConvLayerParams(ParamBlock):
         self.out_channels, self.in_channels = out_channels, in_channels
         self.kernel_size, self.stride = kernel_size, stride
         super().__init__([("kernel", (out_channels, in_channels, kernel_size)),
-                          ("bias", (out_channels,))])
+                          ("bias", (out_channels,))],
+                         {"kernel": (in_channels * kernel_size,
+                                     out_channels * kernel_size)})
 
 
 class DenseParams(ParamBlock):
     """Affine map parameters: weights (n_in, n_out), bias (n_out,)."""
 
     def __init__(self, n_in: int, n_out: int):
-        super().__init__([("weights", (n_in, n_out)), ("bias", (n_out,))])
+        super().__init__([("weights", (n_in, n_out)), ("bias", (n_out,))],
+                         {"weights": (n_in, n_out)})
 
 
 LSTM_GATES = ("i", "f", "o", "c")
@@ -106,7 +125,8 @@ class LstmCellParams(ParamBlock):
                 (f"W_{g}h", (n_hidden, n_hidden)),
                 (f"b_{g}", (n_hidden,)),
             )
-        ])
+        ], {**{f"W_{g}x": (n_features, n_hidden) for g in LSTM_GATES},
+            **{f"W_{g}h": (n_hidden, n_hidden) for g in LSTM_GATES}})
 
     def bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Also bind the gates stacked in LSTM_GATES order: Wx4 (4, H, F),

@@ -10,23 +10,10 @@ so a single master seed fixes all initial weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .nn_core import ShapeMismatch
-
-INIT_VARIANTS = ("xavier", "he")
-
-
-@dataclass(frozen=True)
-class InitScheme:
-    variant: str
-    seed: int
-
-    def __post_init__(self):
-        if self.variant not in INIT_VARIANTS:
-            raise ValueError(f"unknown init variant {self.variant!r}")
 
 
 def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
@@ -40,26 +27,31 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int):
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
 
 
-def init_array(rng, shape, fan_in, fan_out, variant):
-    if variant == "xavier":
-        return xavier_uniform(rng, shape, fan_in, fan_out)
-    if variant == "he":
-        return he_normal(rng, shape, fan_in)
-    raise ValueError(f"unknown init variant {variant!r}")
+# init variant -> draw(rng, shape, fan_in, fan_out)
+INIT_DRAWS = {
+    "xavier": xavier_uniform,
+    "he": lambda rng, shape, fan_in, fan_out: he_normal(rng, shape, fan_in),
+}
 
 
-def init_params(specs, scheme: InitScheme) -> list[np.ndarray]:
-    """Draw one array per (shape, fan_in, fan_out) spec.
+def init_params(params, variant: str, seed: int):
+    """Draw every weight array of the store `params` in place and return it.
 
-    Each array gets its own child stream of the master seed, so inserting
-    or reordering draws inside one array never perturbs the others.
+    The weights are the (array, fan_in, fan_out) triples of
+    params.weights_with_fans(), in storage order; other arrays are left as
+    they are (zero in a fresh store). Each array gets its own child stream
+    of the master seed, so inserting or reordering draws inside one array
+    never perturbs the others.
     """
-    children = np.random.SeedSequence(scheme.seed).spawn(len(list(specs)))
-    out = []
-    for (shape, fan_in, fan_out), child in zip(specs, children):
+    if variant not in INIT_DRAWS:
+        raise ValueError(f"unknown init variant {variant!r}")
+    draw = INIT_DRAWS[variant]
+    weights = params.weights_with_fans()
+    children = np.random.SeedSequence(seed).spawn(len(weights))
+    for (array, fan_in, fan_out), child in zip(weights, children):
         rng = np.random.default_rng(child)
-        out.append(init_array(rng, shape, fan_in, fan_out, scheme.variant))
-    return out
+        array[...] = draw(rng, array.shape, fan_in, fan_out)
+    return params
 
 
 class AdamState:

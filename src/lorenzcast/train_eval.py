@@ -62,7 +62,6 @@ SCENARIOS: dict[str, Scenario] = {
 
 DEFAULT_EPOCHS = {"wavenet": 100, "lstm": 30, "ffn": 100}
 DEFAULT_WINDOW = {"wavenet": 16, "lstm": 16, "ffn": 5}
-INIT_VARIANT = {"wavenet": "he", "lstm": "xavier", "ffn": "xavier"}
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
+        if not self.l2_lambda >= 0:
+            raise ValueError("l2_lambda must be >= 0")
+        if self.resolved_window < 1:
+            raise ValueError("window must be >= 1")
         if self.model == "wavenet" and self.resolved_window < model_zoo.RECEPTIVE_FIELD:
             raise ValueError(f"wavenet window must be >= its receptive field "
                              f"{model_zoo.RECEPTIVE_FIELD}")
@@ -290,7 +293,6 @@ def prepare_data(config: TrainConfig):
 
 
 def build_model(config: TrainConfig):
-    variant = INIT_VARIANT[config.model]
     if config.model == "wavenet":
         wn_config = model_zoo.WaveNetConfig(
             in_channels=3 if config.conditional else 1,
@@ -298,16 +300,16 @@ def build_model(config: TrainConfig):
             stack_channels=config.resolved_stack_channels,
         )
         return model_zoo.WaveNetModel(
-            model_zoo.init_wavenet(wn_config, config.seed, variant)
+            model_zoo.init_wavenet(wn_config, config.seed)
         )
     if config.model == "lstm":
         return model_zoo.LstmModel(
             model_zoo.init_lstm(
                 3 if config.conditional else 1, config.seed,
-                dropout_rate=config.dropout, variant=variant,
+                dropout_rate=config.dropout,
             )
         )
-    return model_zoo.FfnModel(model_zoo.init_ffn(config.seed, variant))
+    return model_zoo.FfnModel(model_zoo.init_ffn(config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,10 @@ def train(config: TrainConfig) -> TrainResult:
 
     theta, grad = model.params.theta, model.params.grad
     adam = AdamState([theta], alpha=config.learning_rate)
-    l2_pairs = model.l2_arrays()
+    # the optimized objective adds the penalty on the conv kernels; the
+    # recorded history stays the data term
+    kernels, kernel_grads = model.params.conv_kernels()
+    penalized = bool(kernels) and config.l2_lambda > 0
 
     # independent, seed-derived streams for batch order and dropout masks
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 101]))
@@ -372,12 +377,8 @@ def train(config: TrainConfig) -> TrainResult:
                 )
             zero_grads(model.params)
             model.backward(d_preds, cache)
-            if l2_pairs and config.l2_lambda > 0:
-                # the optimized objective adds the kernel penalty; the
-                # recorded history stays the data term
-                weights = [w for w, _ in l2_pairs]
-                w_grads = [g for _, g in l2_pairs]
-                l2_grad(weights, w_grads, config.l2_lambda)
+            if penalized:
+                l2_grad(kernels, kernel_grads, config.l2_lambda)
             adam_step([theta], [grad], adam)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))

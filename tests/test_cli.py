@@ -215,10 +215,14 @@ def test_outputs_follow_the_umask(tmp_path):
     ["--model", "ffn", "--epochs", "-2"],
     ["--model", "wavenet", "--stack-channels", "0"],
     ["--model", "wavenet", "--stack-channels", "-2"],
+    ["--model", "lstm", "--window", "0"],
+    ["--model", "lstm", "--window", "-2"],
+    ["--model", "wavenet", "--l2-lambda", "-1", "--epochs", "1"],
 ], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
         "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
         "ffn-dropout-neg", "epochs-0", "epochs-neg", "wavenet-stack-channels-0",
-        "wavenet-stack-channels-neg"])
+        "wavenet-stack-channels-neg", "lstm-window-0", "lstm-window-neg",
+        "wavenet-l2-lambda-neg"])
 def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert cli.main(["train", "--out", str(out), *args]) == cli.EXIT_USAGE
@@ -328,13 +332,22 @@ def _reproduce(tmp_path, monkeypatch, fail):
 
     monkeypatch.setattr(train_eval, "train", flaky_train)
     out = tmp_path / "repro"
-    assert cli.main(["reproduce", "--seeds", "1,2", "--workers", "1",
-                     "--out", str(out)]) == 0
+    code = cli.main(["reproduce", "--seeds", "1,2", "--workers", "1",
+                     "--out", str(out)])
+    assert code == (cli.EXIT_NUMERIC if fail else cli.EXIT_OK)
     return _read_csv(out / "runs.csv"), _read_csv(out / "table.csv")
 
 
-def test_reproduce_marks_a_failed_run_on_its_series_only(tmp_path, monkeypatch):
+def test_reproduce_marks_a_failed_run_on_its_series_only(tmp_path, monkeypatch,
+                                                         capsys):
     runs, table = _reproduce(tmp_path, monkeypatch, fail={("A", 2, "z")})
+    out, err = capsys.readouterr()
+    progress = [line.split("] ", 1)[1] for line in out.splitlines()
+                if line.startswith("[")]
+    assert progress == [f"{cell} seed={seed} series={series} done"
+                        for cell in ("ffn-A", "ffn-B") for seed in (1, 2)
+                        for series in ("x", "y", "z")]
+    assert err == "1 of 12 runs failed; see runs.csv\n"
     assert runs[0] == ["cell", "model", "conditional", "multitask", "sampling",
                        "scenario", "seed", "series", "rmse_scaled", "rmse_raw",
                        "wall_seconds", "status"]
@@ -369,6 +382,11 @@ def test_reproduce_all_runs_of_a_series_failed(tmp_path, monkeypatch):
                           fail={("B", 1, "y"), ("B", 2, "y")})
     assert ["ffn-B", "y", "", "", "0", "failed"] in table
     assert [row[5] for row in table[1:]].count("ok") == 5
+
+
+def test_reproduce_without_failures_exits_zero(tmp_path, monkeypatch):
+    _, table = _reproduce(tmp_path, monkeypatch, fail=set())
+    assert {row[5] for row in table[1:]} == {"ok"}
 
 
 @pytest.mark.parametrize("seeds", ["1,x", "", "1,,2", "1.5"])

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lorenzcast import models as mz
@@ -9,12 +11,14 @@ from lorenzcast.nn_core import (
     conv1d_backward,
     conv1d_forward,
     grad_check,
+    load_params_csv,
     named_parameters,
     relu,
     relu_grad,
+    save_params_csv,
     zero_grads,
 )
-from lorenzcast.train_eval import mae_loss
+from lorenzcast.train_eval import TrainConfig, build_model, mae_loss
 
 
 def _randomize(params, rng, scale=0.5):
@@ -411,6 +415,77 @@ def test_model_blocks_share_the_model_vector():
     assert params.grad.sum() == 25.0
     zero_grads(params)
     assert not params.cell.grads["b_f"].any()
+
+
+def _offset(array, base):
+    return array.ctypes.data - base.ctypes.data
+
+
+# (shape, fan_in, fan_out) of every weight, in the order the families
+# were initialized before the blocks declared their fans
+_CONDITIONAL_STACK = ([((3, 3, 1), 3, 3)] + [((3, 3, 2), 6, 6)] * 4
+                      + [((3, 3, 1), 3, 3)] * 4)
+_LSTM_CELL = [((25, 3), 3, 25), ((25, 25), 25, 25)] * 4
+
+
+@pytest.mark.parametrize("kwargs,expected", [
+    (dict(model="wavenet"),
+     [((1, 1, 1), 1, 1)] + [((1, 1, 2), 2, 2)] * 4 + [((1, 1, 1), 1, 1)] * 5),
+    (dict(model="wavenet", conditional=True),
+     _CONDITIONAL_STACK + [((1, 3, 1), 3, 1)]),
+    (dict(model="wavenet", conditional=True, multitask=True),
+     _CONDITIONAL_STACK + [((1, 3, 1), 3, 1)] * 3),
+    (dict(model="lstm", conditional=True), _LSTM_CELL + [((25, 1), 25, 1)]),
+    (dict(model="ffn"), [((5, 3), 5, 3), ((3, 1), 3, 1)]),
+], ids=["wavenet", "wavenet-conditional", "wavenet-multitask",
+        "lstm-conditional", "ffn"])
+def test_store_weights_are_the_non_bias_arrays(kwargs, expected):
+    params = build_model(TrainConfig(**kwargs)).params
+    weights = params.weights_with_fans()
+    assert [(w.shape, fan_in, fan_out) for w, fan_in, fan_out in weights] == expected
+    arrays = {name: arr for name, arr, _ in named_parameters(params)}
+    # bias names: "bias" and the LSTM's b_i, b_f, b_o, b_c
+    biases = [arr for name, arr in arrays.items()
+              if name.split(".")[-1].startswith("b")]
+    non_bias = [arr for name, arr in arrays.items()
+                if not name.split(".")[-1].startswith("b")]
+    assert ([_offset(w, params.theta) for w, _, _ in weights]
+            == [_offset(arr, params.theta) for arr in non_bias])
+    assert all(w.any() for w, _, _ in weights)
+    assert not any(b.any() for b in biases)
+
+    # the L2 set: every conv kernel with its gradient view, nothing else
+    kernels, kernel_grads = params.conv_kernels()
+    conv = [w for w, _, _ in weights] if kwargs["model"] == "wavenet" else []
+    assert [_offset(k, params.theta) for k in kernels] == [
+        _offset(w, params.theta) for w in conv]
+    assert [_offset(g, params.grad) for g in kernel_grads] == [
+        _offset(w, params.theta) for w in conv]
+
+
+@st.composite
+def _model_configs(draw):
+    model = draw(st.sampled_from(["wavenet", "lstm", "ffn"]))
+    conditional = model != "ffn" and draw(st.booleans())
+    multitask = model == "wavenet" and conditional and draw(st.booleans())
+    return TrainConfig(model=model, conditional=conditional, multitask=multitask,
+                       stack_channels=draw(st.integers(1, 4)),
+                       seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_model_configs(), other_seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-30, 1e30))
+def test_checkpoint_round_trip_is_bit_exact(tmp_path, config, other_seed, scale):
+    assume(other_seed != config.seed)
+    saved = build_model(config).params
+    saved.theta *= scale
+    path = tmp_path / "checkpoint.csv"
+    save_params_csv(saved, path)
+    restored = build_model(dataclasses.replace(config, seed=other_seed)).params
+    load_params_csv(restored, path)
+    assert restored.theta.tobytes() == saved.theta.tobytes()
 
 
 # ---------------------------------------------------------------------------

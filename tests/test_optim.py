@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lorenzcast.nn_core import ShapeMismatch
+from lorenzcast.nn_core import DenseParams, ParamStore, ShapeMismatch
 from lorenzcast.optim import (
     AdamState,
-    InitScheme,
     adam_step,
     he_normal,
     init_params,
@@ -36,26 +35,35 @@ def test_he_normal_std_statistical():
     assert abs(draws.mean()) < 0.02
 
 
+def _dense_store(*sizes):
+    """A store of one dense block per (n_in, n_out)."""
+    return ParamStore([(f"dense_{i}", DenseParams(*size))
+                       for i, size in enumerate(sizes)])
+
+
 def test_init_params_same_seed_bit_identical():
-    specs = [((3, 4), 3, 4), ((4,), 4, 1)]
-    a = init_params(specs, InitScheme("xavier", 99))
-    b = init_params(specs, InitScheme("xavier", 99))
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    a = init_params(_dense_store((3, 4), (4, 1)), "xavier", 99)
+    b = init_params(_dense_store((3, 4), (4, 1)), "xavier", 99)
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert all(w.all() for w, _, _ in a.weights_with_fans())
 
 
 def test_init_params_per_array_streams_independent():
     # the second array's draw does not depend on the first array's size
-    a = init_params([((2, 2), 2, 2), ((5,), 5, 1)], InitScheme("he", 7))
-    b = init_params([((4, 4), 2, 2), ((5,), 5, 1)], InitScheme("he", 7))
-    assert np.array_equal(a[1], b[1])
+    a = init_params(_dense_store((2, 2), (5, 1)), "he", 7)
+    b = init_params(_dense_store((4, 4), (5, 1)), "he", 7)
+    assert np.array_equal(a.blocks[1][1].weights, b.blocks[1][1].weights)
+    # and arrays of one shape draw from different streams
+    c = init_params(_dense_store((5, 1), (5, 1)), "he", 7)
+    assert not np.array_equal(c.blocks[0][1].weights, c.blocks[1][1].weights)
 
 
-def test_init_scheme_validates_variant():
-    with pytest.raises(ValueError):
-        InitScheme("glorot", 0)
-    with pytest.raises(ValueError):
-        InitScheme("zeros", 0)  # no model initialises to zeros
+def test_init_params_rejects_unknown_variant():
+    params = _dense_store((2, 2))
+    for variant in ("glorot", "zeros"):  # no model initialises to zeros
+        with pytest.raises(ValueError, match="unknown init variant"):
+            init_params(params, variant, 0)
+    assert not params.theta.any()
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,10 @@ def test_config_validation():
                     task_weights=(0.5, 0.4, 0.2))  # does not sum to 1
     with pytest.raises(ValueError):
         TrainConfig(model="wavenet", batch_size=0)
+    for model in ("wavenet", "lstm", "ffn"):
+        for bad in (dict(window=0), dict(window=-2), dict(l2_lambda=-1e-3)):
+            with pytest.raises(ValueError):
+                TrainConfig(model=model, **bad)
 
 
 def test_conditional_wavenet_default_stack():
