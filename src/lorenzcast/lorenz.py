@@ -191,24 +191,17 @@ def split_train_test(
 class WindowedDataset:
     """Supervised one-step-ahead examples.
 
-    inputs is always stored as (examples, channels, window); `layout`
-    records the batch convention consumers should use:
-      conv      -> batch x channels x width
-      recurrent -> sequence x batch x features
-    Example i targets series index i; its window holds the `window`
-    values strictly before i (zero left-padding covers i < window).
+    inputs is (examples, channels, window), the batch layout every model
+    reads; targets is (examples, tasks). Example i targets series index i;
+    its window holds the `window` values strictly before i (zero
+    left-padding covers i < window).
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    window_length: int
-    channels: int
-    layout: str
     target_names: tuple[str, ...] = field(default=("x",))
 
     def __post_init__(self):
-        if self.layout not in ("conv", "recurrent"):
-            raise ValueError(f"unknown layout {self.layout!r}")
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError("inputs and targets disagree on example count")
 
@@ -216,22 +209,9 @@ class WindowedDataset:
     def n_examples(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def n_tasks(self) -> int:
-        return self.targets.shape[1]
-
-    def batch_inputs(self, indices) -> np.ndarray:
-        """Gather examples arranged per the layout tag."""
-        batch = self.inputs[indices]  # (b, channels, window)
-        if self.layout == "conv":
-            return batch
-        return batch.transpose(2, 0, 1)  # (window, b, channels)
-
     def subset(self, start: int, stop: int) -> "WindowedDataset":
-        return WindowedDataset(
-            self.inputs[start:stop], self.targets[start:stop],
-            self.window_length, self.channels, self.layout, self.target_names,
-        )
+        return WindowedDataset(self.inputs[start:stop], self.targets[start:stop],
+                               self.target_names)
 
 
 def make_windows(
@@ -239,7 +219,6 @@ def make_windows(
     window: int,
     conditional: bool = False,
     multitask: bool = False,
-    layout: str = "conv",
     target: str = "x",
 ) -> WindowedDataset:
     """Window a series set into one example per series index.
@@ -247,9 +226,10 @@ def make_windows(
     Each series is left-padded with `window` zeros, then example t gets the
     padded values at [t, t + window) as input (i.e. the original values at
     [t - window, t), zeros where that runs past the start) and the value at
-    t as target. Conditional inputs carry all three series as channels in
-    (x, y, z) order; otherwise the single channel is the target's own
-    history. Multitask emits all three targets per example.
+    t as target. Inputs are (examples, channels, window). Conditional
+    inputs carry all three series as channels in (x, y, z) order; otherwise
+    the single channel is the target's own history. Multitask emits all
+    three targets per example.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -265,9 +245,7 @@ def make_windows(
     targets = np.stack(
         [series_set.series(name) for name in target_names], axis=1
     )
-    return WindowedDataset(
-        inputs, targets, window, len(channel_names), layout, tuple(target_names)
-    )
+    return WindowedDataset(inputs, targets, tuple(target_names))
 
 
 def save_series_csv(series_set: SeriesSet, path) -> None:

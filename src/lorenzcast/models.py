@@ -205,21 +205,23 @@ def init_lstm(n_features: int, seed: int, n_hidden: int = 25,
                              INIT_VARIANT["lstm"], seed)
 
 
-def lstm_model_forward(sequence: np.ndarray, params: LstmModelParams,
+def lstm_model_forward(inputs: np.ndarray, params: LstmModelParams,
                        training: bool = False, rng=None, h0=None, c0=None):
-    """Unroll over (seq, batch, features) from h0 = c0 = 0 (or a carried
-    state), apply inverted dropout to the last hidden state during training
-    only, then the dense head. Returns (predictions (batch, 1), cache)."""
-    if sequence.ndim != 3 or sequence.shape[2] != params.n_features:
+    """Unroll over inputs (batch, features, window), read time-major, from
+    h0 = c0 = 0 (or a carried state), apply inverted dropout to the last
+    hidden state during training only, then the dense head. Returns
+    (predictions (batch, 1), cache)."""
+    if inputs.ndim != 3 or inputs.shape[1] != params.n_features:
         raise ShapeMismatch(
-            f"expected (seq, batch, {params.n_features}), got {sequence.shape}"
+            f"expected (batch, {params.n_features}, window), got {inputs.shape}"
         )
-    b = sequence.shape[1]
+    b = inputs.shape[0]
     if h0 is None:
         h0 = np.zeros((b, params.n_hidden), dtype=np.float64)
     if c0 is None:
         c0 = np.zeros((b, params.n_hidden), dtype=np.float64)
-    h_T, c_T, caches = lstm_sequence_forward(sequence, h0, c0, params.cell)
+    h_T, c_T, caches = lstm_sequence_forward(inputs.transpose(2, 0, 1), h0, c0,
+                                             params.cell)
     if training and params.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
@@ -234,11 +236,12 @@ def lstm_model_forward(sequence: np.ndarray, params: LstmModelParams,
 
 
 def lstm_model_backward(d_preds: np.ndarray, cache, params: LstmModelParams):
+    """Adjoint of lstm_model_forward; returns d_inputs (batch, features, window)."""
     caches, h_T, c_T, h_out, mask = cache
     d_h_out = dense_backward(d_preds, h_out, params.head)
     d_h_T = d_h_out if mask is None else d_h_out * mask
     d_sequence, _, _ = lstm_sequence_backward(d_h_T, caches, params.cell)
-    return d_sequence
+    return d_sequence.transpose(1, 2, 0)
 
 
 class LstmModel:

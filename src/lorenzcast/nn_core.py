@@ -192,36 +192,34 @@ def tanh_grad(y):
 # 1-D strided convolution (cross-correlation)
 
 
-def _conv_check(inputs: np.ndarray, params: ConvLayerParams):
-    """(batch view, whether the input was 2-d, output width)."""
-    single = inputs.ndim == 2  # (channels, width) convenience form
-    batch = inputs[None] if single else inputs
-    if batch.ndim != 3:
-        raise ShapeMismatch(f"expected 2- or 3-d input, got ndim {inputs.ndim}")
-    if batch.shape[1] != params.in_channels:
+def _conv_check(inputs: np.ndarray, params: ConvLayerParams) -> int:
+    """Output width of the conv on (batch, channels, width) inputs."""
+    if inputs.ndim != 3:
+        raise ShapeMismatch(f"expected 3-d input, got ndim {inputs.ndim}")
+    if inputs.shape[1] != params.in_channels:
         raise ShapeMismatch(
-            f"input has {batch.shape[1]} channels, kernel expects {params.in_channels}"
+            f"input has {inputs.shape[1]} channels, kernel expects {params.in_channels}"
         )
     k = params.kernel_size
-    if batch.shape[2] < k:
-        raise ShapeMismatch(f"width {batch.shape[2]} < kernel size {k}")
-    return batch, single, (batch.shape[2] - k) // params.stride + 1
+    if inputs.shape[2] < k:
+        raise ShapeMismatch(f"width {inputs.shape[2]} < kernel size {k}")
+    return (inputs.shape[2] - k) // params.stride + 1
 
 
 def conv1d_forward(inputs: np.ndarray, params: ConvLayerParams) -> np.ndarray:
-    """Strided cross-correlation over (batch, channels, width) or (channels, width).
+    """Strided cross-correlation over (batch, channels, width).
 
     out[b, o, i] = sum_c sum_j inputs[b, c, s*i + j] * kernel[o, c, j] + bias[o]
     with out_width = (width - kernel_size) // s + 1.
     """
-    batch, single, out_w = _conv_check(inputs, params)
+    out_w = _conv_check(inputs, params)
     s = params.stride
-    out = np.empty((batch.shape[0], params.out_channels, out_w), dtype=np.float64)
+    out = np.empty((inputs.shape[0], params.out_channels, out_w), dtype=np.float64)
     out[:] = params.bias[None, :, None]
     for j in range(params.kernel_size):  # tap j reads inputs j, j+s, ...
-        out += np.einsum("bcw,oc->bow", batch[:, :, j:j + s * out_w:s],
+        out += np.einsum("bcw,oc->bow", inputs[:, :, j:j + s * out_w:s],
                          params.kernel[:, :, j])
-    return out[0] if single else out
+    return out
 
 
 def conv1d_backward(
@@ -232,21 +230,20 @@ def conv1d_backward(
     Accumulates kernel/bias gradients into params.grads and returns the
     gradient with respect to the inputs (same shape as `inputs`).
     """
-    batch, single, out_w = _conv_check(inputs, params)
-    up = upstream[None] if single else upstream
-    out_shape = (batch.shape[0], params.out_channels, out_w)
-    if up.shape != out_shape:
+    out_w = _conv_check(inputs, params)
+    out_shape = (inputs.shape[0], params.out_channels, out_w)
+    if upstream.shape != out_shape:
         raise ShapeMismatch(
-            f"upstream shape {up.shape} does not match forward output {out_shape}"
+            f"upstream shape {upstream.shape} does not match forward output {out_shape}"
         )
-    params.grads["bias"] += up.sum(axis=(0, 2))
+    params.grads["bias"] += upstream.sum(axis=(0, 2))
     s = params.stride
-    d_input = np.zeros_like(batch)
+    d_input = np.zeros_like(inputs)
     for j in range(params.kernel_size):
         tap = (slice(None), slice(None), slice(j, j + s * out_w, s))
-        params.grads["kernel"][:, :, j] += np.einsum("bow,bcw->oc", up, batch[tap])
-        d_input[tap] += np.einsum("bow,oc->bcw", up, params.kernel[:, :, j])
-    return d_input[0] if single else d_input
+        params.grads["kernel"][:, :, j] += np.einsum("bow,bcw->oc", upstream, inputs[tap])
+        d_input[tap] += np.einsum("bow,oc->bcw", upstream, params.kernel[:, :, j])
+    return d_input
 
 
 # ---------------------------------------------------------------------------

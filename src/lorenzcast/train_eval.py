@@ -93,6 +93,8 @@ class TrainConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.sampling not in ("shuffled", "adjacent"):
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not self.learning_rate > 0:
@@ -142,10 +144,6 @@ class TrainConfig:
             return self.stack_channels
         # the conditional stack carries all three series through every layer
         return 3 if (self.model == "wavenet" and self.conditional) else 1
-
-    @property
-    def layout(self) -> str:
-        return "recurrent" if self.model == "lstm" else "conv"
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,7 @@ def prepare_data(config: TrainConfig):
     full = make_windows(
         scaled, config.resolved_window,
         conditional=config.conditional, multitask=config.multitask,
-        layout=config.layout, target=config.target,
+        target=config.target,
     )
     train_ds = full.subset(0, config.n_train)
     test_ds = full.subset(config.n_train, n_points)
@@ -323,7 +321,6 @@ class TrainResult:
     loss_history: list[float]
     param_count: int
     train_seconds: float
-    train_ds: WindowedDataset = field(repr=False, default=None)
     test_ds: WindowedDataset = field(repr=False, default=None)
     scale: dict = field(repr=False, default=None)
 
@@ -353,7 +350,7 @@ def train(config: TrainConfig) -> TrainResult:
         carry_h = carry_c = None
         epoch_losses = []
         for b_idx, batch in enumerate(batches):
-            inputs = train_ds.batch_inputs(batch)
+            inputs = train_ds.inputs[batch]
             targets = train_ds.targets[batch]
             if stateful:
                 if carry_h is not None and carry_h.shape[0] != len(batch):
@@ -386,7 +383,7 @@ def train(config: TrainConfig) -> TrainResult:
     return TrainResult(model, config, history,
                        model_zoo.param_count(model.params),
                        round(time.perf_counter() - start, 3),
-                       train_ds, test_ds, scaled.scale)
+                       test_ds, scaled.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +421,7 @@ def predict_dataset(model, dataset: WindowedDataset,
     preds = np.empty_like(dataset.targets)
     for i in range(0, dataset.n_examples, batch_size):
         idx = np.arange(i, min(i + batch_size, dataset.n_examples))
-        preds[idx] = model.predict(dataset.batch_inputs(idx))
+        preds[idx] = model.predict(dataset.inputs[idx])
     return preds
 
 

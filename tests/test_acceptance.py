@@ -237,7 +237,7 @@ def test_criterion_6_property_suites():
     W = np.array([[w0, 0, 0], [w1, w0, 0], [0, w1, w0], [0, 0, w1]])
     conv = mz.ConvLayerParams(1, 1, 2)
     conv.kernel[...] = np.array([w0, w1]).reshape(1, 1, 2)
-    out = conv1d_forward(x4.reshape(1, 4), conv)[0]
+    out = conv1d_forward(x4.reshape(1, 1, 4), conv)[0, 0]
     checks["toeplitz"] = float(np.max(np.abs(out - x4 @ W))) < 1e-14
 
     # conditional model with extra channels zeroed == unconditional
@@ -262,12 +262,12 @@ def test_criterion_6_property_suites():
     lstm = mz.LstmModelParams(1, dropout_rate=0.10)
     for _, arr, _ in named_parameters(lstm):
         arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
-    seq = rng.normal(size=(16, 2, 1))
+    x = rng.normal(size=(2, 1, 16))
     from lorenzcast.nn_core import dense_forward, lstm_sequence_forward
-    h_T, _, _ = lstm_sequence_forward(seq, np.zeros((2, 25)),
+    h_T, _, _ = lstm_sequence_forward(x.transpose(2, 0, 1), np.zeros((2, 25)),
                                       np.zeros((2, 25)), lstm.cell)
     checks["dropout-eval-identity"] = np.array_equal(
-        mz.lstm_model_forward(seq, lstm, training=False)[0],
+        mz.lstm_model_forward(x, lstm, training=False)[0],
         dense_forward(h_T, lstm.head),
     )
 

@@ -218,11 +218,12 @@ def test_outputs_follow_the_umask(tmp_path):
     ["--model", "lstm", "--window", "0"],
     ["--model", "lstm", "--window", "-2"],
     ["--model", "wavenet", "--l2-lambda", "-1", "--epochs", "1"],
+    ["--model", "ffn", "--seed", "-1", "--epochs", "1"],
 ], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
         "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
         "ffn-dropout-neg", "epochs-0", "epochs-neg", "wavenet-stack-channels-0",
         "wavenet-stack-channels-neg", "lstm-window-0", "lstm-window-neg",
-        "wavenet-l2-lambda-neg"])
+        "wavenet-l2-lambda-neg", "ffn-seed-neg"])
 def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert cli.main(["train", "--out", str(out), *args]) == cli.EXIT_USAGE
@@ -230,7 +231,7 @@ def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["seed = 12.5", "epochs = three",
+@pytest.mark.parametrize("line", ["seed = 12.5", "seed = -1", "epochs = three",
                                   "learning_rate = fast"])
 def test_train_config_file_bad_number_usage_error(tmp_path, capsys, line):
     config = tmp_path / "bad.cfg"
@@ -292,6 +293,11 @@ def test_grad_check_single_case_passes(monkeypatch, capsys):
     assert cli.main(["grad-check"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2 and "FAIL" not in out
+
+
+def test_grad_check_negative_seed_usage_error(capsys):
+    assert cli.main(["grad-check", "--seed", "-1"]) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
 
 
 def test_grad_check_deterministic(monkeypatch):
@@ -389,7 +395,7 @@ def test_reproduce_without_failures_exits_zero(tmp_path, monkeypatch):
     assert {row[5] for row in table[1:]} == {"ok"}
 
 
-@pytest.mark.parametrize("seeds", ["1,x", "", "1,,2", "1.5"])
+@pytest.mark.parametrize("seeds", ["1,x", "", "1,,2", "1.5", "-1", "1,-2"])
 def test_reproduce_bad_seeds_usage_error(tmp_path, capsys, seeds):
     out = tmp_path / "repro"
     assert cli.main(["reproduce", "--seeds", seeds, "--workers", "1",

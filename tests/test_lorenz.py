@@ -156,7 +156,6 @@ def test_windows_ffn_example():
 
 def test_windows_conditional_three_channels():
     ds = make_windows(_series_set(100), window=16, conditional=True)
-    assert ds.channels == 3
     assert ds.inputs.shape == (100, 3, 16)
 
 
@@ -165,15 +164,6 @@ def test_windows_multitask_three_targets():
                       multitask=True)
     assert ds.targets.shape == (100, 3)
     assert ds.target_names == ("x", "y", "z")
-
-
-def test_windows_recurrent_layout():
-    ds = make_windows(_series_set(100), window=16, conditional=True,
-                      layout="recurrent")
-    batch = ds.batch_inputs(np.array([0, 1, 2, 3]))
-    assert batch.shape == (16, 4, 3)  # sequence x batch x features
-    conv = ds.inputs[np.array([0, 1, 2, 3])]
-    assert np.array_equal(batch, conv.transpose(2, 0, 1))
 
 
 @settings(deadline=None, max_examples=30)

@@ -304,7 +304,7 @@ def test_conditional_with_zeroed_extra_channels_matches_unconditional():
 def test_lstm_model_zero_params_predicts_head_bias():
     params = mz.LstmModelParams(1)
     params.head.bias[...] = -0.21
-    x = np.random.default_rng(8).normal(size=(16, 3, 1))
+    x = np.random.default_rng(8).normal(size=(3, 1, 16))
     preds, _ = mz.lstm_model_forward(x, params)
     assert np.allclose(preds, -0.21, atol=0)
 
@@ -313,14 +313,15 @@ def test_lstm_dropout_eval_mode_is_identity():
     rng = np.random.default_rng(9)
     params = mz.LstmModelParams(1, dropout_rate=0.10)
     _randomize(params, rng)
-    x = rng.normal(size=(16, 4, 1))
+    x = rng.normal(size=(4, 1, 16))
     a, _ = mz.lstm_model_forward(x, params, training=False)
     b, _ = mz.lstm_model_forward(x, params, training=False)
     assert np.array_equal(a, b)
-    # and matches the dense head applied to the raw last hidden state
+    # and matches the dense head applied to the raw last hidden state of
+    # the time-major (window, batch, features) sequence
     from lorenzcast.nn_core import dense_forward, lstm_sequence_forward
-    h_T, _, _ = lstm_sequence_forward(x, np.zeros((4, 25)), np.zeros((4, 25)),
-                                      params.cell)
+    h_T, _, _ = lstm_sequence_forward(x.transpose(2, 0, 1), np.zeros((4, 25)),
+                                      np.zeros((4, 25)), params.cell)
     assert np.array_equal(a, dense_forward(h_T, params.head))
 
 
@@ -328,7 +329,7 @@ def test_lstm_dropout_training_mode_masks():
     rng = np.random.default_rng(10)
     params = mz.LstmModelParams(1, dropout_rate=0.5)
     _randomize(params, rng)
-    x = rng.normal(size=(16, 2, 1))
+    x = rng.normal(size=(2, 1, 16))
     eval_preds, _ = mz.lstm_model_forward(x, params, training=False)
     train_preds, _ = mz.lstm_model_forward(
         x, params, training=True, rng=np.random.default_rng(0))
@@ -339,7 +340,8 @@ def test_lstm_model_grad_check():
     rng = np.random.default_rng(7)
     params = mz.LstmModelParams(1)
     _randomize(params, rng)
-    x = rng.uniform(-0.5, 0.5, size=(16, 3, 1))
+    # drawn time-major as this test always was, then (batch, features, window)
+    x = rng.uniform(-0.5, 0.5, size=(16, 3, 1)).transpose(1, 2, 0)
     targets = rng.uniform(-0.5, 0.5, size=(3, 1))
 
     def loss():
@@ -348,7 +350,7 @@ def test_lstm_model_grad_check():
     def backward():
         preds, cache = mz.lstm_model_forward(x, params, training=False)
         value, d_preds = mae_loss(preds, targets)
-        mz.lstm_model_backward(d_preds, cache, params)
+        assert mz.lstm_model_backward(d_preds, cache, params).shape == x.shape
         return value
 
     assert grad_check(loss, params, backward, eps=1e-5) < 1e-4
@@ -358,7 +360,7 @@ def test_lstm_carry_state_shapes():
     rng = np.random.default_rng(12)
     params = mz.LstmModelParams(1)
     _randomize(params, rng)
-    x = rng.normal(size=(16, 5, 1))
+    x = rng.normal(size=(5, 1, 16))
     _, cache = mz.lstm_model_forward(x, params)
     h, c = mz.LstmModel.carry_state(cache)
     assert h.shape == (5, 25) and c.shape == (5, 25)

@@ -46,19 +46,19 @@ def _conv(out_c, in_c, k, stride=1, kernel=None, bias=None):
 
 def test_conv_cross_correlation_d1():
     params = _conv(1, 1, 2, kernel=[1.0, 1.0])
-    out = conv1d_forward(np.array([[1.0, 2.0, 3.0, 4.0]]), params)
-    assert np.array_equal(out, [[3.0, 5.0, 7.0]])
+    out = conv1d_forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]), params)
+    assert np.array_equal(out, [[[3.0, 5.0, 7.0]]])
 
 
 def test_conv_cross_correlation_s2():
     params = _conv(1, 1, 2, stride=2, kernel=[1.0, 10.0])
-    out = conv1d_forward(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]), params)
-    assert np.array_equal(out, [[21.0, 43.0]])  # windows (1, 2) and (3, 4)
+    out = conv1d_forward(np.array([[[1.0, 2.0, 3.0, 4.0, 5.0]]]), params)
+    assert np.array_equal(out, [[[21.0, 43.0]]])  # windows (1, 2) and (3, 4)
 
 
 def test_conv_identity_kernel():
     params = _conv(1, 1, 1, kernel=[1.0])
-    x = np.array([[0.5, -1.0, 2.0, 7.0]])
+    x = np.array([[[0.5, -1.0, 2.0, 7.0]]])
     assert np.array_equal(conv1d_forward(x, params), x)
 
 
@@ -75,7 +75,7 @@ def test_conv_toeplitz_equivalence():
         [0.0, 0.0, w1],
     ])
     params = _conv(1, 1, 2, kernel=[w0, w1])
-    out = conv1d_forward(x.reshape(1, 4), params)[0]
+    out = conv1d_forward(x.reshape(1, 1, 4), params)[0, 0]
     assert np.max(np.abs(out - x @ W)) < 1e-14
 
 
@@ -101,8 +101,8 @@ def test_conv_output_width_formula(width, k, s):
     if width < k:
         return
     params = _conv(1, 1, k, s)
-    out = conv1d_forward(np.zeros((1, width)), params)
-    assert out.shape == (1, (width - k) // s + 1)
+    out = conv1d_forward(np.zeros((1, 1, width)), params)
+    assert out.shape == (1, 1, (width - k) // s + 1)
 
 
 def test_conv_shape_mismatch():
@@ -111,6 +111,8 @@ def test_conv_shape_mismatch():
         conv1d_forward(np.zeros((1, 1, 8)), params)  # wrong channel count
     with pytest.raises(ShapeMismatch):
         conv1d_forward(np.zeros((1, 2, 1)), params)  # width below minimum
+    with pytest.raises(ShapeMismatch):
+        conv1d_forward(np.zeros((2, 8)), params)  # unbatched (channels, width)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +322,33 @@ def test_dense_backward_finite_differences():
         return loss()
 
     assert grad_check(loss, params, backward, eps=1e-5) < 1e-6
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000), batch=st.integers(1, 6),
+       n_in=st.integers(1, 8), n_out=st.integers(1, 8))
+def test_dense_adjoint_consistency(seed, batch, n_in, n_out):
+    # dense(x) - bias is linear in x and in the weights, so with u the
+    # upstream <dense(x) - bias, u> == <x, dense^T(u)> == <W, dW> and
+    # dbias == sum(u) over the batch
+    rng = np.random.default_rng(seed)
+    params = DenseParams(n_in, n_out)
+    params.weights[...] = rng.normal(size=(n_in, n_out))
+    params.bias[...] = rng.normal(size=n_out)
+    x = rng.normal(size=(batch, n_in))
+    lin = dense_forward(x, params) - params.bias
+    u = rng.normal(size=lin.shape)
+    zero_grads(params)
+    d_x = dense_backward(u, x, params)
+    forward_side = float(np.sum(lin * u))
+    # bounds the sum of |x * W * u| over every product the three share, plus
+    # the |bias * u| that adding and removing the bias can round away
+    scale = (np.sum(np.abs(x)) * np.sum(np.abs(params.weights))
+             + batch * np.sum(np.abs(params.bias))) * np.max(np.abs(u))
+    assert abs(forward_side - float(np.sum(x * d_x))) <= 1e-13 * scale
+    weight_side = float(np.sum(params.weights * params.grads["weights"]))
+    assert abs(forward_side - weight_side) <= 1e-13 * scale
+    assert np.array_equal(params.grads["bias"], u.sum(axis=0))
 
 
 def test_dense_shape_mismatch():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorenzcast import cli
 from lorenzcast.nn_core import named_parameters
 from lorenzcast.optim import AdamState, adam_step
 from lorenzcast.train_eval import (
@@ -197,6 +198,20 @@ def test_prepare_data_no_look_ahead_and_real_test_history():
         assert test_ds.targets[i, 0] == scaled.series("x")[t]
 
 
+@pytest.mark.parametrize("case", list(cli._GRAD_CHECK_CONFIGS))
+def test_every_family_reads_the_dataset_layout(case):
+    # a batch of the dataset's (batch, channels, window) inputs goes into
+    # every model as it is, and the input gradient comes back in that shape
+    config = cli._GRAD_CHECK_CONFIGS[case]
+    train_ds, _, _ = prepare_data(config)
+    model = build_model(config)
+    inputs = train_ds.inputs[:4]
+    preds, cache = model.forward(inputs)
+    assert preds.shape == (4, 3 if config.multitask else 1)
+    if config.model != "ffn":
+        assert model.backward(np.ones_like(preds), cache).shape == inputs.shape
+
+
 def test_prepare_data_scaled_range():
     config = TrainConfig(model="lstm", target="y")
     _, _, scaled = prepare_data(config)
@@ -221,7 +236,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(model="wavenet", batch_size=0)
     for model in ("wavenet", "lstm", "ffn"):
-        for bad in (dict(window=0), dict(window=-2), dict(l2_lambda=-1e-3)):
+        for bad in (dict(window=0), dict(window=-2), dict(l2_lambda=-1e-3),
+                    dict(seed=-1)):
             with pytest.raises(ValueError):
                 TrainConfig(model=model, **bad)
 
