@@ -284,20 +284,23 @@ def init_ffn(seed: int) -> FfnParams:
 
 
 def ffn_forward(inputs: np.ndarray, params: FfnParams):
-    """(batch, 1, 5) or (batch, 5) -> (batch, 1) predictions, plus cache."""
+    """(batch, 1, 5) -> (batch, 1) predictions, plus cache."""
+    if inputs.ndim != 3 or inputs.shape[1:] != (1, FfnParams.WINDOW):
+        raise ShapeMismatch(
+            f"expected (batch, 1, {FfnParams.WINDOW}), got {inputs.shape}"
+        )
     flat = inputs.reshape(inputs.shape[0], -1)
-    if flat.shape[1] != FfnParams.WINDOW:
-        raise ShapeMismatch(f"expected window {FfnParams.WINDOW}, got {flat.shape}")
     hidden = sigmoid(dense_forward(flat, params.hidden))
     preds = dense_forward(hidden, params.out)
     return preds, (flat, hidden)
 
 
 def ffn_backward(d_preds: np.ndarray, cache, params: FfnParams):
+    """Adjoint of ffn_forward; returns d_inputs (batch, 1, 5)."""
     flat, hidden = cache
     d_hidden = dense_backward(d_preds, hidden, params.out)
     d_pre = d_hidden * sigmoid_grad(hidden)
-    return dense_backward(d_pre, flat, params.hidden)
+    return dense_backward(d_pre, flat, params.hidden)[:, None]
 
 
 class FfnModel:

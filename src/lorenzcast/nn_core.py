@@ -277,8 +277,8 @@ def dense_backward(
 # LSTM cell and sequence (BPTT)
 
 
-def lstm_cell_forward(x_t, h_prev, c_prev, params: LstmCellParams):
-    """One LSTM step.
+def lstm_cell_forward(xz_t, h_prev, c_prev, params: LstmCellParams):
+    """One step of the LSTM recurrence.
 
         i = sig(W_ix x + W_ih h_prev + b_i)      input gate
         f = sig(W_fx x + W_fh h_prev + b_f)      forget gate
@@ -287,74 +287,99 @@ def lstm_cell_forward(x_t, h_prev, c_prev, params: LstmCellParams):
         c = f * c_prev + i * c~
         h = o * tanh(c)
 
-    x_t is (batch, features); h_prev/c_prev are (batch, hidden). Returns
-    (h, c, cache) where cache feeds lstm_cell_backward.
+    xz_t is the step's input projection W_gx x for every gate, stacked in
+    LSTM_GATES order as (4, batch, hidden); lstm_sequence_forward forms it
+    for all steps at once. Each pre-activation is summed as
+    (W_gx x + W_gh h_prev) + b_g. h_prev/c_prev are (batch, hidden).
+    Returns (h, c, cache) where cache feeds lstm_cell_backward.
     """
-    if x_t.ndim != 2 or x_t.shape[1] != params.n_features:
-        raise ShapeMismatch(
-            f"x_t shape {x_t.shape} incompatible with {params.n_features} features"
-        )
-    if h_prev.shape != (x_t.shape[0], params.n_hidden) or c_prev.shape != h_prev.shape:
+    if (h_prev.ndim != 2 or h_prev.shape[1] != params.n_hidden
+            or c_prev.shape != h_prev.shape):
         raise ShapeMismatch("h_prev/c_prev shapes do not match (batch, hidden)")
-    # (4, batch, hidden) pre-activations, one gate per leading index
-    z = (x_t @ params.Wx4.transpose(0, 2, 1)
-         + h_prev @ params.Wh4.transpose(0, 2, 1) + params.b4[:, None])
-    i, f, o = sigmoid(z[:3])
+    if xz_t.shape != (4, *h_prev.shape):
+        raise ShapeMismatch(f"xz_t shape {xz_t.shape} is not (4, batch, hidden)")
+    z = h_prev @ params.Wh4.transpose(0, 2, 1)  # (4, batch, hidden)
+    z += xz_t
+    z += params.b4[:, None]
+    ifo = sigmoid(z[:3])  # i, f, o stacked
     c_tilde = np.tanh(z[3])
-    c = f * c_prev + i * c_tilde
+    c = ifo[1] * c_prev
+    c += ifo[0] * c_tilde
     tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = (x_t, h_prev, c_prev, i, f, o, c_tilde, tanh_c)
-    return h, c, cache
+    return ifo[2] * tanh_c, c, (c_prev, ifo, c_tilde, tanh_c)
 
 
-def lstm_cell_backward(dh, dc, cache, params: LstmCellParams):
-    """Adjoint of one LSTM step.
+def lstm_cell_backward(dh, dc, cache, params: LstmCellParams, d_z):
+    """Adjoint of one step of the recurrence.
 
-    dh/dc are gradients w.r.t. h_t and c_t. Accumulates parameter gradients
-    and returns (dx, dh_prev, dc_prev).
+    dh/dc are gradients w.r.t. h_t and c_t. Writes the step's gate
+    pre-activation gradients, (4, batch, hidden) in LSTM_GATES order, into
+    d_z and returns (dh_prev, dc_prev). The parameter and input gradients
+    are left to lstm_sequence_backward, which forms them from d_z.
     """
-    x_t, h_prev, c_prev, i, f, o, c_tilde, tanh_c = cache
-    dc_total = dc + dh * o * tanh_grad(tanh_c)
-    # (4, batch, hidden) pre-activation gradients of gates i, f, o, c
-    pre = np.stack((dc_total * c_tilde * sigmoid_grad(i),
-                    dc_total * c_prev * sigmoid_grad(f),
-                    dh * tanh_c * sigmoid_grad(o),
-                    dc_total * i * tanh_grad(c_tilde)))
-    pre_t = pre.transpose(0, 2, 1)
-    params.gWx4 += pre_t @ x_t
-    params.gWh4 += pre_t @ h_prev
-    params.gb4 += pre.sum(axis=1)
-    dx = (pre @ params.Wx4).sum(axis=0)  # gates summed in i, f, o, c order
-    dh_prev = (pre @ params.Wh4).sum(axis=0)
-    return dx, dh_prev, dc_total * f
+    c_prev, ifo, c_tilde, tanh_c = cache
+    i, f, o = ifo
+    dc_total = dh * o
+    dc_total *= tanh_grad(tanh_c)
+    dc_total += dc
+    np.multiply(dc_total, c_tilde, out=d_z[0])
+    np.multiply(dc_total, c_prev, out=d_z[1])
+    np.multiply(dh, tanh_c, out=d_z[2])
+    d_z[:3] *= sigmoid_grad(ifo)
+    np.multiply(dc_total, i, out=d_z[3])
+    d_z[3] *= tanh_grad(c_tilde)
+    dh_prev = (d_z @ params.Wh4).sum(axis=0)  # gates summed in i, f, o, c order
+    dc_total *= f
+    return dh_prev, dc_total
 
 
 def lstm_sequence_forward(sequence, h0, c0, params: LstmCellParams):
-    """Unroll the cell over (seq_len, batch, features); returns (h_T, c_T, caches)."""
-    if sequence.ndim != 3:
-        raise ShapeMismatch(f"expected (seq, batch, features), got {sequence.shape}")
-    h, c = h0, c0
-    caches = []
-    for t in range(sequence.shape[0]):
-        h, c, cache = lstm_cell_forward(sequence[t], h, c, params)
-        caches.append(cache)
-    return h, c, caches
+    """Unroll the cell over (seq_len, batch, features) from (h0, c0).
 
-
-def lstm_sequence_backward(dh_T, caches, params: LstmCellParams, dc_T=None):
-    """Backpropagation through time from a gradient on the last hidden state.
-
-    Accumulates parameter gradients across all steps; returns
-    (d_sequence, dh0, dc0).
+    The input projections do not depend on the recurrence, so one batched
+    matmul forms them for every step and gate, (seq_len, 4, batch, hidden).
+    It makes the same per-(step, gate) products a per-step cell would, on
+    operands of the same layout: a contiguous copy of a strided `sequence`
+    can take another matmul path and round differently. The cell then runs
+    the recurrence once per step. Returns (h_T, c_T, cache) where cache
+    feeds lstm_sequence_backward.
     """
+    if sequence.ndim != 3 or sequence.shape[2] != params.n_features:
+        raise ShapeMismatch(
+            f"expected (seq, batch, {params.n_features}), got {sequence.shape}"
+        )
+    xz = sequence[:, None] @ params.Wx4.transpose(0, 2, 1)
+    h, c = h0, c0
+    h_prevs, steps = [], []
+    for t in range(sequence.shape[0]):
+        h_prevs.append(h)
+        h, c, step = lstm_cell_forward(xz[t], h, c, params)
+        steps.append(step)
+    return h, c, (sequence, h_prevs, steps)
+
+
+def lstm_sequence_backward(dh_T, cache, params: LstmCellParams, dc_T=None):
+    """Backpropagation through time from gradients on the last hidden (and
+    cell) state; returns (d_sequence, dh0, dc0).
+
+    The loop runs the recurrence's adjoint, t = T-1 ... 0, and collects each
+    step's gate pre-activation gradients in one (seq_len, 4, batch, hidden)
+    buffer. The parameter and input gradients do not feed the recurrence,
+    so batched products form them after the loop. Each parameter gradient
+    sums its per-step terms over t = T-1 ... 0, then adds that sum to
+    params.grad: bit for bit a per-step accumulation from a zeroed gradient.
+    """
+    sequence, h_prevs, steps = cache
+    d_z = np.empty((len(steps), 4, *dh_T.shape))
     dh = dh_T
     dc = np.zeros_like(dh_T) if dc_T is None else dc_T
-    d_steps = []
-    for cache in reversed(caches):
-        dx, dh, dc = lstm_cell_backward(dh, dc, cache, params)
-        d_steps.append(dx)
-    d_sequence = np.stack(d_steps[::-1], axis=0)
+    for t in reversed(range(len(steps))):
+        dh, dc = lstm_cell_backward(dh, dc, steps[t], params, d_z[t])
+    d_z_t = d_z.transpose(0, 1, 3, 2)
+    params.gWx4 += (d_z_t @ sequence[:, None])[::-1].sum(axis=0)
+    params.gWh4 += (d_z_t @ np.stack(h_prevs)[:, None])[::-1].sum(axis=0)
+    params.gb4 += d_z.sum(axis=2)[::-1].sum(axis=0)
+    d_sequence = (d_z @ params.Wx4).sum(axis=1)  # gates summed in i, f, o, c order
     return d_sequence, dh, dc
 
 

@@ -150,7 +150,9 @@ def test_train_report_matches_eval_of_checkpoint(tmp_path):
 # sha256 of checkpoint.csv and predictions_x.csv after 3 epochs at seed 1234.
 # They were taken from the per-array parameter code that the flat store
 # replaced, and the store must reproduce them exactly: a store that
-# reorders the layers or drifts by one ulp fails here.
+# reorders the layers or drifts by one ulp fails here. The unconditional
+# (one feature) and adjacent-sampling (carried h0, c0) LSTM rows were taken
+# from the BPTT that formed every product inside the step loop.
 GOLDEN_3_EPOCHS = [
     (["--model", "wavenet", "--conditional"],
      "3808574aee5477ef1a68c397022aa8cacbfd9c176714cf7da92ad1419d099c49",
@@ -161,6 +163,12 @@ GOLDEN_3_EPOCHS = [
     (["--model", "ffn"],
      "b7d0fff0c3ff87a8dd6b056f54cda94f096fb45f55bd5a0a63552283e0beaf4d",
      "2f34374662df8671237c873d5b8a6fa86a60214dc73edc37777012e65fe92944"),
+    (["--model", "lstm"],
+     "061b3c935186d50d2290dfee4e56709b46313b33f332c6ee94772726a96e924b",
+     "700ae268d938b1b90541d3114cf95e6285b58acdc2e49973271a1864dbab9d9d"),
+    (["--model", "lstm", "--sampling", "adjacent"],
+     "0d5027ccefb4b04a17293abba55a2d0210b50ab6c9c60201e51dc1bd404fa8be",
+     "669bf3e317947ae96c3a0c7919a580b38189ea2c2371365b3b8266346b4f1965"),
 ]
 
 

@@ -399,6 +399,8 @@ def test_ffn_grad_check():
 def test_ffn_rejects_wrong_window():
     with pytest.raises(ShapeMismatch):
         mz.ffn_forward(np.zeros((2, 1, 6)), mz.FfnParams())
+    with pytest.raises(ShapeMismatch):  # the flat (batch, 5) form is gone
+        mz.ffn_forward(np.zeros((2, 5)), mz.FfnParams())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorenzcast import nn_core
@@ -185,16 +185,21 @@ def test_conv_backward_multichannel_finite_differences():
 @given(seed=st.integers(0, 10_000), batch=st.integers(1, 4),
        out_c=st.integers(1, 3), in_c=st.integers(1, 3), k=st.integers(1, 4),
        stride=st.integers(1, 4), extra=st.integers(0, 12))
+@example(seed=117, batch=1, out_c=1, in_c=1, k=1, stride=1, extra=0)
 def test_conv_adjoint_consistency(seed, batch, out_c, in_c, k, stride, extra):
-    # conv(x) - bias is linear in x and in the kernel, so with u the upstream
-    # <conv(x) - bias, u> == <x, conv^T(u)> == <kernel, dkernel> and
-    # dbias == sum(u) over batch and width
+    # the conv with its bias zeroed is linear in x and in the kernel, so with
+    # u the upstream <conv(x), u> == <x, conv^T(u)> == <kernel, dkernel>, and
+    # dbias == sum(u) over batch and width. Taking the bias off the output
+    # instead would round away up to an ulp of |bias| (seed 117 above).
     rng = np.random.default_rng(seed)
     params = _conv(out_c, in_c, k, stride,
                    kernel=rng.normal(size=(out_c, in_c, k)),
                    bias=rng.normal(size=out_c))
     x = rng.normal(size=(batch, in_c, k + extra))
-    lin = conv1d_forward(x, params) - params.bias[None, :, None]
+    bias = params.bias.copy()
+    params.bias[...] = 0.0
+    lin = conv1d_forward(x, params)
+    params.bias[...] = bias
     u = rng.normal(size=lin.shape)
     zero_grads(params)
     d_x = conv1d_backward(u, x, params)
@@ -365,11 +370,11 @@ def test_dense_shape_mismatch():
 
 def test_lstm_cell_all_zero_params():
     params = LstmCellParams(2, 3)
-    x = np.array([[0.4, -0.2]])
+    x = np.array([[[0.4, -0.2]]])  # one step
     h0 = np.zeros((1, 3))
     c0 = np.zeros((1, 3))
-    h, c, cache = lstm_cell_forward(x, h0, c0, params)
-    _, _, _, i, f, o, c_tilde, _ = cache
+    h, c, (_, _, steps) = lstm_sequence_forward(x, h0, c0, params)
+    _, (i, f, o), c_tilde, _ = steps[0]
     assert np.allclose(i, 0.5, atol=0) and np.allclose(f, 0.5, atol=0)
     assert np.allclose(o, 0.5, atol=0)
     assert np.array_equal(c_tilde, np.zeros((1, 3)))
@@ -381,7 +386,7 @@ def test_lstm_cell_saturated_forget_gate_keeps_cell():
     params = LstmCellParams(1, 3)
     params.b_f[...] = 100.0  # forget gate saturates to 1
     v = np.array([[0.3, -1.2, 0.8]])
-    h, c, _ = lstm_cell_forward(np.array([[0.5]]), np.zeros((1, 3)), v, params)
+    h, c, _ = lstm_sequence_forward(np.array([[[0.5]]]), np.zeros((1, 3)), v, params)
     assert np.max(np.abs(c - v)) < 1e-12
 
 
@@ -390,24 +395,24 @@ def test_lstm_cell_gradients_finite_differences():
     params = LstmCellParams(1, 3)
     for _, arr, _ in named_parameters(params):
         arr[...] = rng.uniform(-0.7, 0.7, size=arr.shape)
-    x = rng.uniform(-1, 1, size=(2, 1))
+    x = rng.uniform(-1, 1, size=(1, 2, 1))  # one step
     h0 = rng.uniform(-1, 1, size=(2, 3))
     c0 = rng.uniform(-1, 1, size=(2, 3))
 
     def loss():
-        return float(np.sum(lstm_cell_forward(x, h0, c0, params)[0]))
+        return float(np.sum(lstm_sequence_forward(x, h0, c0, params)[0]))
 
     def backward():
-        h, _, cache = lstm_cell_forward(x, h0, c0, params)
-        nn_core.lstm_cell_backward(np.ones_like(h), np.zeros_like(h), cache, params)
+        h, _, cache = lstm_sequence_forward(x, h0, c0, params)
+        lstm_sequence_backward(np.ones_like(h), cache, params, dc_T=np.zeros_like(h))
         return float(np.sum(h))
 
     assert grad_check(loss, params, backward, eps=1e-5) < 1e-5
 
 
 def _reference_cell_forward(x_t, h_prev, c_prev, params):
-    """The per-gate cell that the stacked one replaced: one matmul pair
-    and one activation call per gate, with the sign-masked sigmoid."""
+    """One step of a per-gate cell: one matmul pair and one activation
+    call per gate, with the sign-masked sigmoid."""
     i = _masked_sigmoid(x_t @ params.W_ix.T + h_prev @ params.W_ih.T + params.b_i)
     f = _masked_sigmoid(x_t @ params.W_fx.T + h_prev @ params.W_fh.T + params.b_f)
     o = _masked_sigmoid(x_t @ params.W_ox.T + h_prev @ params.W_oh.T + params.b_o)
@@ -418,6 +423,8 @@ def _reference_cell_forward(x_t, h_prev, c_prev, params):
 
 
 def _reference_cell_backward(dh, dc, cache, params):
+    """Adjoint of _reference_cell_forward, adding this step's gradients
+    into params.grads gate by gate."""
     x_t, h_prev, c_prev, i, f, o, c_tilde, tanh_c = cache
     do = dh * tanh_c
     dc_total = dc + dh * o * tanh_grad(tanh_c)
@@ -443,29 +450,46 @@ def _reference_cell_backward(dh, dc, cache, params):
     return dx, dh_prev, dc_prev
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([1, 3]), st.sampled_from([1, 2, 25]),
-       st.sampled_from([1, 3, 32]), st.integers(0, 2**32 - 1))
-def test_stacked_cell_matches_per_gate_reference_bitwise(n_features, n_hidden,
-                                                         batch, seed):
+@settings(max_examples=80, deadline=None)
+@given(seq_len=st.sampled_from([1, 2, 16]), batch=st.sampled_from([1, 3, 32]),
+       n_features=st.sampled_from([1, 3]), n_hidden=st.sampled_from([1, 2, 25]),
+       batch_major=st.booleans(), grad_start_nonzero=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sequence_matches_per_step_reference_bitwise(seq_len, batch, n_features,
+                                                     n_hidden, batch_major,
+                                                     grad_start_nonzero, seed):
+    # the hoisted input projections and parameter gradients against a
+    # per-step loop of the per-gate cell, which accumulates every step's
+    # gradients as it goes
     rng = np.random.default_rng(seed)
-    stacked = LstmCellParams(n_features, n_hidden)
+    params = LstmCellParams(n_features, n_hidden)
     reference = LstmCellParams(n_features, n_hidden)
-    stacked.theta[...] = reference.theta[...] = rng.uniform(-2, 2, stacked.theta.size)
-    # backward adds into the gradient buffers, so start them nonzero
-    stacked.grad[...] = reference.grad[...] = rng.normal(size=stacked.grad.size)
-    x = rng.normal(size=(batch, n_features))
-    h0, c0, dh, dc = rng.normal(size=(4, batch, n_hidden))
+    params.theta[...] = reference.theta[...] = rng.uniform(-2, 2, params.theta.size)
+    # every caller zeroes the gradient; with one step it may start anywhere
+    if seq_len == 1 and grad_start_nonzero:
+        params.grad[...] = reference.grad[...] = rng.normal(size=params.grad.size)
+    if batch_major:  # the strided view lstm_model_forward passes
+        x = rng.normal(size=(batch, n_features, seq_len)).transpose(2, 0, 1)
+    else:
+        x = rng.normal(size=(seq_len, batch, n_features))
+    h0, c0, dh_T, dc_T = rng.normal(size=(4, batch, n_hidden))
 
-    h, c, cache = lstm_cell_forward(x, h0, c0, stacked)
-    h_ref, c_ref, cache_ref = _reference_cell_forward(x, h0, c0, reference)
-    assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
-    grads = nn_core.lstm_cell_backward(dh, dc, cache, stacked)
-    grads_ref = _reference_cell_backward(dh, dc, cache_ref, reference)
-    for got, want in zip(grads, grads_ref):  # dx, dh_prev, dc_prev
-        assert np.array_equal(got, want)
-    for name in stacked.grads:
-        assert np.array_equal(stacked.grads[name], reference.grads[name]), name
+    h_T, c_T, cache = lstm_sequence_forward(x, h0, c0, params)
+    h, c, steps = h0, c0, []
+    for t in range(seq_len):
+        h, c, step = _reference_cell_forward(x[t], h, c, reference)
+        steps.append(step)
+    assert np.array_equal(h_T, h) and np.array_equal(c_T, c)
+
+    d_sequence, dh0, dc0 = lstm_sequence_backward(dh_T, cache, params, dc_T=dc_T)
+    dh, dc, d_steps = dh_T, dc_T, []
+    for step in reversed(steps):
+        dx, dh, dc = _reference_cell_backward(dh, dc, step, reference)
+        d_steps.append(dx)
+    assert np.array_equal(d_sequence, np.stack(d_steps[::-1]))
+    assert np.array_equal(dh0, dh) and np.array_equal(dc0, dc)
+    for name in params.grads:
+        assert np.array_equal(params.grads[name], reference.grads[name]), name
 
 
 def test_stacked_gate_views_share_the_store():
@@ -497,7 +521,8 @@ def test_lstm_sequence_length_one_equals_cell():
     h0 = np.zeros((3, 4))
     c0 = np.zeros((3, 4))
     h_seq, c_seq, _ = lstm_sequence_forward(x, h0, c0, params)
-    h_cell, c_cell, _ = lstm_cell_forward(x[0], h0, c0, params)
+    xz = x[0] @ params.Wx4.transpose(0, 2, 1)  # (4, batch, hidden)
+    h_cell, c_cell, _ = lstm_cell_forward(xz, h0, c0, params)
     assert np.array_equal(h_seq, h_cell)
     assert np.array_equal(c_seq, c_cell)
 
@@ -532,10 +557,16 @@ def test_lstm_sequence_bptt_finite_differences():
 
 def test_lstm_shape_mismatch():
     params = LstmCellParams(2, 3)
-    with pytest.raises(ShapeMismatch):
-        lstm_cell_forward(np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)), params)
-    with pytest.raises(ShapeMismatch):
-        lstm_cell_forward(np.zeros((1, 2)), np.zeros((1, 4)), np.zeros((1, 4)), params)
+    h = np.zeros((1, 3))
+    with pytest.raises(ShapeMismatch):  # 5 features, the cell takes 2
+        lstm_sequence_forward(np.zeros((1, 1, 5)), h, h, params)
+    with pytest.raises(ShapeMismatch):  # 4 hidden units, the cell has 3
+        lstm_sequence_forward(np.zeros((1, 1, 2)), np.zeros((1, 4)), np.zeros((1, 4)),
+                              params)
+    with pytest.raises(ShapeMismatch):  # an input projection of 3 gates
+        lstm_cell_forward(np.zeros((3, 1, 3)), h, h, params)
+    with pytest.raises(ShapeMismatch):  # h_prev and c_prev disagree
+        lstm_cell_forward(np.zeros((4, 1, 3)), h, np.zeros((2, 3)), params)
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,7 @@ def test_every_family_reads_the_dataset_layout(case):
     inputs = train_ds.inputs[:4]
     preds, cache = model.forward(inputs)
     assert preds.shape == (4, 3 if config.multitask else 1)
-    if config.model != "ffn":
-        assert model.backward(np.ones_like(preds), cache).shape == inputs.shape
+    assert model.backward(np.ones_like(preds), cache).shape == inputs.shape
 
 
 def test_prepare_data_scaled_range():
