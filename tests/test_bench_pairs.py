@@ -8,19 +8,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_pairs  # noqa: E402
 
 
-def _result(op_s, rate, failed=0):
-    return {"correct": failed == 0, "attempted": 3, "failed": failed,
+def _result(op_s, rate, failed=0, harness_ok=True):
+    return {"correct": failed == 0 and harness_ok, "attempted": 3, "failed": failed,
             "metrics": {"op_s": {"value": op_s, "unit": "s"},
                         "train_examples_per_s": {"value": rate, "unit": "1/s"}}}
 
 
-def _runs(workload, parent, change, failed=(0, 0)):
+def _runs(workload, parent, change, failed=(0, 0), harness_ok=(True, True)):
+    """Paired runs; `failed` and `harness_ok` apply to pair 1 of each side."""
     runs = []
     for pair, (p, c) in enumerate(zip(parent, change), start=1):
-        runs.append({"pair": pair, "side": "parent", "workload": workload,
-                     "result": _result(*p, failed=failed[0] if pair == 1 else 0)})
-        runs.append({"pair": pair, "side": "change", "workload": workload,
-                     "result": _result(*c, failed=failed[1] if pair == 1 else 0)})
+        for side, values, k in (("parent", p, 0), ("change", c, 1)):
+            first = pair == 1
+            result = _result(*values, failed=failed[k] if first else 0,
+                             harness_ok=harness_ok[k] or not first)
+            runs.append({"pair": pair, "side": side, "workload": workload,
+                         "result": result})
     return runs
 
 
@@ -57,6 +60,15 @@ def test_summary_medians_iqr_and_wins():
     assert rate["parent_median"] == 105.0 and rate["change_median"] == 95.0
     assert rate["change_better_pairs"] == 1
     assert summary["w"]["failed_ops"] == {"parent": 1, "change": 2}
+    assert summary["w"]["incorrect_runs"] == {"parent": 1, "change": 1}
+
+
+def test_summary_counts_a_failed_harness_check_as_an_incorrect_run():
+    runs = _runs("w", [(4.0, 1.0), (3.0, 1.0)], [(3.0, 1.0), (2.0, 1.0)],
+                 harness_ok=(True, False))
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert summary["w"]["failed_ops"] == {"parent": 0, "change": 0}
+    assert summary["w"]["incorrect_runs"] == {"parent": 0, "change": 1}
 
 
 def test_summary_skips_a_pair_missing_one_side():
@@ -83,3 +95,24 @@ def test_claim_needs_nine_of_ten_wins_and_a_gap_above_the_iqr():
     summary = bench_pairs.summarize(_runs("w", parent, barely), BETTER)
     claim = bench_pairs.judge_claim(summary, "w", "op_s", "lower")
     assert claim["change_better_pairs"] == 10 and not claim["holds"]
+
+
+def test_claim_fails_when_the_change_fails_more_than_the_parent():
+    parent = [(3.0 + 0.01 * k, 1.0) for k in range(10)]
+    faster = [(p - 0.5, r) for p, r in parent]
+
+    # every pair won by a wide gap, but the change fails more operations
+    # (in as many runs as the parent)
+    summary = bench_pairs.summarize(_runs("w", parent, faster, failed=(1, 2)), BETTER)
+    claim = bench_pairs.judge_claim(summary, "w", "op_s", "lower")
+    assert claim["change_better_pairs"] == 10 and not claim["holds"]
+
+    # ... or fails a harness check that the parent passes
+    summary = bench_pairs.summarize(
+        _runs("w", parent, faster, harness_ok=(True, False)), BETTER)
+    assert not bench_pairs.judge_claim(summary, "w", "op_s", "lower")["holds"]
+
+    # the same failures on both sides leave the claim standing
+    summary = bench_pairs.summarize(
+        _runs("w", parent, faster, failed=(1, 1), harness_ok=(False, False)), BETTER)
+    assert bench_pairs.judge_claim(summary, "w", "op_s", "lower")["holds"]

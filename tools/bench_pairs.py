@@ -1,23 +1,25 @@
 """Run the benchmark harness as interleaved parent/change pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --label NAME \\
-        --pairs 10 --seconds 25 [--workload lstm_cell ...] \\
-        [--claim lstm_cell:op_s] [--what TEXT]
+        --pairs 10 [--claim lstm_cell:op_s] [--what TEXT]
 
-Each side is a checkout of the repository. For every pair and workload the
-script runs `python3 bench/run.py --workload W --seconds S --trace 0` once
-in each checkout, in a fresh interpreter, and keeps the result line (the
-last line of standard output). Odd pairs run the parent first and even
+Each side is a checkout of the repository. For every pair and every workload
+that the change's BENCHMARK.json declares, the script runs
+`python3 bench/run.py --workload W --seconds S --trace 0` once in each
+checkout, in a fresh interpreter, with S the declared `run_seconds`, and
+keeps the result line (the last line of standard output). Odd pairs run the parent first and even
 pairs the change first, and each pair starts its workloads one further
 along the list, so neither side nor workload always runs first.
 
 It writes BENCH_<label>.json in the current directory: for each workload and
 end-to-end metric of BENCHMARK.json, the medians of both sides, the
 parent's interquartile range and the number of pairs the change won, plus
-the failed operations and every raw result. With --claim it also states
-whether the claimed metric improved by the rule used to accept a claim:
-the change is better in at least 9 of 10 pairs, and its median beats the
-parent's by more than the parent's interquartile range.
+the failed operations, the runs whose result is not correct (a failed
+operation or a failed harness check) and every raw result. With --claim it
+also states whether the claimed metric improved by the rule used to accept
+a claim: the change is better in at least 9 of 10 pairs, its median beats
+the parent's by more than the parent's interquartile range, and it has no
+more failed operations and no more incorrect runs than the parent.
 
 Standard library only.
 """
@@ -69,7 +71,8 @@ def iqr(values: list[float]) -> float:
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and metric: both medians, the parent's IQR and the pairs
-    the change won (a tie is not a win); plus failed operations per side.
+    the change won (a tie is not a win); plus, per side, the failed
+    operations and the runs whose result is not correct.
 
     `better` maps each metric to "lower" or "higher"."""
     summary = {}
@@ -94,17 +97,25 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             }
         entry["failed_ops"] = {side: sum(sides[side]["failed"] for sides in paired)
                                for side in SIDES}
+        entry["incorrect_runs"] = {side: sum(not sides[side]["correct"] for sides in paired)
+                                   for side in SIDES}
         summary[workload] = entry
     return summary
 
 
 def judge_claim(summary: dict, workload: str, metric: str, direction: str) -> dict:
-    """The claim block: the metric's summary and whether the claim holds."""
-    stats = summary[workload][metric]
+    """The claim block: the metric's summary and whether the claim holds.
+
+    A gain does not count when the change fails more operations, or has
+    more incorrect runs, than the parent."""
+    entry = summary[workload]
+    stats = entry[metric]
     sign = 1.0 if direction == "lower" else -1.0
     gain = sign * (stats["parent_median"] - stats["change_median"])
     holds = (stats["change_better_pairs"] >= CLAIM_WIN_SHARE * stats["pairs"]
-             and gain > stats["parent_iqr"])
+             and gain > stats["parent_iqr"]
+             and all(entry[key]["change"] <= entry[key]["parent"]
+                     for key in ("failed_ops", "incorrect_runs")))
     return {"workload": workload, "metric": metric, **stats, "holds": holds}
 
 
@@ -120,9 +131,6 @@ def parse_args(argv=None):
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--workload", action="append", default=None,
-                        help="repeat for several; default: every declared workload")
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
     parser.add_argument("--what", default="")
     return parser.parse_args(argv)
@@ -132,15 +140,17 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     runs, machine = [], None
     for pair, side, workload in schedule(workloads, args.pairs):
-        record, result = run_harness(checkouts[side], workload, args.seconds)
+        record, result = run_harness(checkouts[side], workload, seconds)
         machine = machine or machine_block(record)
         runs.append({"pair": pair, "side": side, "workload": workload, "result": result})
         print(f"pair {pair} {side:6s} {workload:12s} "
-              f"op_s {result['metrics']['op_s']['value']:.3f}", flush=True)
+              f"op_s {result['metrics']['op_s']['value']:.3f}"
+              f"{'' if result['correct'] else ' NOT CORRECT'}", flush=True)
     summary = summarize(runs, better)
     claim = None
     if args.claim:
@@ -149,7 +159,7 @@ def main(argv=None) -> int:
     out = {
         "label": args.label,
         "what": args.what,
-        "command": f"python3 bench/run.py --workload W --seconds {args.seconds:g} "
+        "command": f"python3 bench/run.py --workload W --seconds {seconds:g} "
                    "--trace 0 (default seeds), run in each side's checkout",
         "protocol": f"{args.pairs} interleaved pairs per workload in one session; "
                     "odd pairs run the parent first, even pairs the change first; "
