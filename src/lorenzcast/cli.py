@@ -239,7 +239,7 @@ def _write_run_outputs(out_dir: str, config: TrainConfig, result,
 
     record = {"command": "train", **config_record(config)}
     comments = {
-        "param_count": result.param_count,
+        "param_count": param_count(result.model.params),
         "init_variant": model_zoo.INIT_VARIANT[config.model],
         "train_seconds": result.train_seconds,
         **_scenario_record(SCENARIOS[config.scenario]),
@@ -256,7 +256,7 @@ def _write_run_outputs(out_dir: str, config: TrainConfig, result,
 def _write_predictions(out_dir: str, config: TrainConfig, result) -> None:
     """predictions_<series>.csv: t,truth,prediction (scaled space) for all
     test steps. t is the absolute series index."""
-    preds = predict_dataset(result.model, result.test_ds, batch_size=1)
+    preds = predict_dataset(result.model, result.test_ds)
     for j, series in enumerate(result.test_ds.target_names):
         rows = [
             [config.n_train + i,
@@ -402,6 +402,8 @@ def _print_progress(jobs, done: int) -> None:
 
 
 def cmd_reproduce(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
@@ -409,15 +411,18 @@ def cmd_reproduce(args) -> int:
                          f"got {args.seeds!r}") from None
     if min(seeds) < 0:
         raise UsageError(f"--seeds must be >= 0, got {args.seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise UsageError(f"--seeds must not repeat a seed, got {args.seeds!r}")
     out_dir = resolve_out_dir(args.out, "reproduce")
     os.makedirs(out_dir, exist_ok=True)
     jobs = grid_jobs(seeds)
     configs = [config for _, config in jobs]
+    workers = min(args.workers, len(jobs))  # no idle worker processes
 
     started = time.perf_counter()
     outcomes = []
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             for outcome in pool.map(_reproduce_job, configs):
                 outcomes.append(outcome)
                 _print_progress(jobs, len(outcomes))
@@ -456,7 +461,7 @@ def cmd_reproduce(args) -> int:
     write_meta(os.path.join(out_dir, "run_meta.txt"), {
         "command": "reproduce",
         "seeds": args.seeds,
-        "workers": args.workers,
+        "workers": workers,
     })
     elapsed = time.perf_counter() - started
     print(f"wrote {len(runs_rows)} run rows to {out_dir} "

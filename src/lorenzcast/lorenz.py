@@ -69,17 +69,16 @@ class LorenzState:
 
 @dataclass(frozen=True)
 class ScaleTransform:
-    """Affine map sending a series' [min, max] onto [-0.5, 0.5].
+    """The affine map with which `rescale` sent a series' [min, max] onto
+    [-0.5, 0.5].
 
-    scaled = (value - offset) * gain - 0.5, with offset = min and
-    gain = 1 / (max - min). Invertible to full double precision.
+    rescale computes scaled = (value - min) / (max - min) - 0.5 and records
+    offset = min, gain = 1 / (max - min); invert maps back with
+    value = (scaled + 0.5) / gain + offset.
     """
 
     offset: float
     gain: float
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.offset) * self.gain - 0.5
 
     def invert(self, scaled: np.ndarray) -> np.ndarray:
         return (np.asarray(scaled, dtype=np.float64) + 0.5) / self.gain + self.offset

@@ -57,18 +57,19 @@ def init_params(params, variant: str, seed: int):
 class AdamState:
     """First/second moment buffers plus the step counter.
 
-    Defaults alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-8. Update:
+    alpha defaults to 1e-3; beta1=0.9, beta2=0.999 and eps=1e-8 are fixed.
+    Update:
         m <- b1 m + (1-b1) g        mhat = m / (1 - b1^t)
         v <- b2 v + (1-b2) g^2      vhat = v / (1 - b2^t)
         p <- p - alpha * mhat / (sqrt(vhat) + eps)
     """
 
-    def __init__(self, params: list[np.ndarray], alpha: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[np.ndarray], alpha: float = 1e-3):
         self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]

@@ -8,6 +8,7 @@ and predictions.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -97,12 +98,14 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
-        if not self.l2_lambda >= 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not 0 <= self.l2_lambda < math.inf:
+            raise ValueError("l2_lambda must be finite and >= 0")
+        if not all(map(math.isfinite, self.task_weights)):
+            raise ValueError("task weights must be finite")
         if self.resolved_window < 1:
             raise ValueError("window must be >= 1")
         if self.model == "wavenet" and self.resolved_window < model_zoo.RECEPTIVE_FIELD:
@@ -241,7 +244,7 @@ def rmse(predictions: np.ndarray, truths: np.ndarray) -> float:
 
 
 def make_batches(dataset: WindowedDataset, batch_size: int, mode: str,
-                 rng) -> list[np.ndarray]:
+                 rng: np.random.Generator) -> list[np.ndarray]:
     """Index batches for one epoch.
 
     shuffled: a fresh permutation per call (drawn from rng), short final
@@ -251,8 +254,6 @@ def make_batches(dataset: WindowedDataset, batch_size: int, mode: str,
     """
     if dataset.n_examples == 0:
         raise EmptyBatch("empty dataset")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     if mode == "shuffled":
         order = rng.permutation(dataset.n_examples)
     elif mode == "adjacent":
@@ -319,10 +320,9 @@ class TrainResult:
     model: object
     config: TrainConfig
     loss_history: list[float]
-    param_count: int
     train_seconds: float
-    test_ds: WindowedDataset = field(repr=False, default=None)
-    scale: dict = field(repr=False, default=None)
+    test_ds: WindowedDataset = field(repr=False)
+    scale: dict = field(repr=False)
 
 
 def train(config: TrainConfig) -> TrainResult:
@@ -342,32 +342,25 @@ def train(config: TrainConfig) -> TrainResult:
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 101]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 202]))
 
+    # a single-task run is the one-task case of the weighted loss
+    weights = config.task_weights if config.multitask else (1.0,)
+    # adjacent-sampling LSTM runs carry (h, c) from each batch into the next
     stateful = config.model == "lstm" and config.sampling == "adjacent"
     history: list[float] = []
     for epoch in range(config.resolved_epochs):
         batches = make_batches(train_ds, config.batch_size, config.sampling,
                                batch_rng)
-        carry_h = carry_c = None
+        carry = {}
         epoch_losses = []
         for b_idx, batch in enumerate(batches):
-            inputs = train_ds.inputs[batch]
-            targets = train_ds.targets[batch]
+            if carry and len(carry["h0"]) != len(batch):
+                carry = {}  # size change: restart from zeros
+            preds, cache = model.forward(train_ds.inputs[batch], training=True,
+                                         rng=dropout_rng, **carry)
             if stateful:
-                if carry_h is not None and carry_h.shape[0] != len(batch):
-                    carry_h = carry_c = None  # size change: restart from zeros
-                preds, cache = model.forward(
-                    inputs, training=True, rng=dropout_rng,
-                    h0=carry_h, c0=carry_c,
-                )
-                carry_h, carry_c = model.carry_state(cache)
-            else:
-                preds, cache = model.forward(inputs, training=True,
-                                             rng=dropout_rng)
-            if config.multitask:
-                loss, d_preds = multitask_loss(preds, targets,
-                                               config.task_weights)
-            else:
-                loss, d_preds = mae_loss(preds, targets)
+                carry = dict(zip(("h0", "c0"), model.carry_state(cache)))
+            loss, d_preds = multitask_loss(preds, train_ds.targets[batch],
+                                           weights)
             if not np.isfinite(loss):
                 raise NonFinite(
                     f"training loss diverged at epoch {epoch}, batch {b_idx}"
@@ -381,7 +374,6 @@ def train(config: TrainConfig) -> TrainResult:
         history.append(float(np.mean(epoch_losses)))
 
     return TrainResult(model, config, history,
-                       model_zoo.param_count(model.params),
                        round(time.perf_counter() - start, 3),
                        test_ds, scaled.scale)
 
@@ -415,35 +407,30 @@ class EvalReport:
         return out
 
 
-def predict_dataset(model, dataset: WindowedDataset,
-                    batch_size: int = 1) -> np.ndarray:
-    """One-step-ahead predictions for every example (dropout disabled)."""
+def predict_dataset(model, dataset: WindowedDataset) -> np.ndarray:
+    """One-step-ahead predictions for every example, one example per
+    forward pass (minibatch size one, dropout disabled)."""
     preds = np.empty_like(dataset.targets)
-    for i in range(0, dataset.n_examples, batch_size):
-        idx = np.arange(i, min(i + batch_size, dataset.n_examples))
-        preds[idx] = model.predict(dataset.inputs[idx])
+    for i in range(dataset.n_examples):
+        preds[i] = model.predict(dataset.inputs[i:i + 1])[0]
     return preds
 
 
-def evaluate(model, test_ds: WindowedDataset, config: TrainConfig, scale=None,
+def evaluate(model, test_ds: WindowedDataset, config: TrainConfig, scale: dict,
              wall_seconds: float = 0.0) -> EvalReport:
     """Per-series test RMSE with minibatch size one, labelled by `config`.
 
-    RMSE is computed in the scaled [-0.5, 0.5] space; when the per-series
-    ScaleTransforms are supplied, the unscaled-space RMSE is reported
-    alongside.
+    rmse_scaled is taken in the scaled [-0.5, 0.5] space; rmse_raw in the
+    original space, after mapping both sides back through the series'
+    ScaleTransform in `scale` (series name -> transform).
     """
     start = time.perf_counter()
-    preds = predict_dataset(model, test_ds, batch_size=1)
+    preds = predict_dataset(model, test_ds)
     rmse_scaled, rmse_raw = {}, {}
     for j, series in enumerate(test_ds.target_names):
-        p, t = preds[:, j], test_ds.targets[:, j]
+        p, t, tf = preds[:, j], test_ds.targets[:, j], scale[series]
         rmse_scaled[series] = rmse(p, t)
-        if scale is not None:
-            tf = scale[series]
-            rmse_raw[series] = rmse(tf.invert(p), tf.invert(t))
-        else:
-            rmse_raw[series] = rmse_scaled[series]
+        rmse_raw[series] = rmse(tf.invert(p), tf.invert(t))
     return EvalReport(config, rmse_scaled, rmse_raw,
                       round(wall_seconds + time.perf_counter() - start, 3))
 

@@ -1,7 +1,10 @@
-"""Summary arithmetic of tools/bench_pairs.py on canned harness results."""
+"""Argument parsing and summary arithmetic of tools/bench_pairs.py on canned
+harness results."""
 
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -116,3 +119,14 @@ def test_claim_fails_when_the_change_fails_more_than_the_parent():
     summary = bench_pairs.summarize(
         _runs("w", parent, faster, failed=(1, 1), harness_ok=(False, False)), BETTER)
     assert bench_pairs.judge_claim(summary, "w", "op_s", "lower")["holds"]
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3", "two"])
+def test_pairs_below_one_is_rejected_at_parsing(pairs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(["--parent", "p", "--change", "c", "--label", "x",
+                                "--pairs", pairs])
+    assert exc.value.code == 2
+    assert "--pairs" in capsys.readouterr().err
+    assert bench_pairs.parse_args(["--parent", "p", "--change", "c", "--label",
+                                   "x", "--pairs", "1"]).pairs == 1

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import multiprocessing
 import os
 
 import numpy as np
@@ -227,11 +228,17 @@ def test_outputs_follow_the_umask(tmp_path):
     ["--model", "lstm", "--window", "-2"],
     ["--model", "wavenet", "--l2-lambda", "-1", "--epochs", "1"],
     ["--model", "ffn", "--seed", "-1", "--epochs", "1"],
+    ["--model", "lstm", "--learning-rate", "inf", "--epochs", "1"],
+    ["--model", "ffn", "--learning-rate", "nan", "--epochs", "1"],
+    ["--model", "wavenet", "--l2-lambda", "inf", "--epochs", "1"],
+    ["--model", "lstm", "--l2-lambda", "inf", "--epochs", "1"],
+    ["--model", "ffn", "--l2-lambda", "nan", "--epochs", "1"],
 ], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
         "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
         "ffn-dropout-neg", "epochs-0", "epochs-neg", "wavenet-stack-channels-0",
         "wavenet-stack-channels-neg", "lstm-window-0", "lstm-window-neg",
-        "wavenet-l2-lambda-neg", "ffn-seed-neg"])
+        "wavenet-l2-lambda-neg", "ffn-seed-neg", "lstm-lr-inf", "ffn-lr-nan",
+        "wavenet-l2-lambda-inf", "lstm-l2-lambda-inf", "ffn-l2-lambda-nan"])
 def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert cli.main(["train", "--out", str(out), *args]) == cli.EXIT_USAGE
@@ -240,7 +247,8 @@ def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("line", ["seed = 12.5", "seed = -1", "epochs = three",
-                                  "learning_rate = fast"])
+                                  "learning_rate = fast", "learning_rate = inf",
+                                  "l2_lambda = inf", "task_weights = nan,0.5,0.5"])
 def test_train_config_file_bad_number_usage_error(tmp_path, capsys, line):
     config = tmp_path / "bad.cfg"
     config.write_text(f"model = ffn\n{line}\n")
@@ -331,9 +339,10 @@ def test_grad_check_corrupted_backward_fails(monkeypatch):
 # reproduce
 
 
-def _reproduce(tmp_path, monkeypatch, fail):
+def _reproduce(tmp_path, monkeypatch, fail, workers=1):
     """Run reproduce over two 1-epoch ffn cells at seeds 1 and 2; train
-    raises NonFinite for the (scenario, seed, target) runs in `fail`."""
+    raises NonFinite for the (scenario, seed, target) runs in `fail`.
+    Worker processes see the planted failures only when forked."""
     grid = {"ffn-A": (dict(model="ffn", epochs=1, scenario="A"), ("x", "y", "z")),
             "ffn-B": (dict(model="ffn", epochs=1, scenario="B"), ("x", "y", "z"))}
     monkeypatch.setattr(train_eval, "RESULTS_GRID", grid)
@@ -345,8 +354,8 @@ def _reproduce(tmp_path, monkeypatch, fail):
         return real_train(config)
 
     monkeypatch.setattr(train_eval, "train", flaky_train)
-    out = tmp_path / "repro"
-    code = cli.main(["reproduce", "--seeds", "1,2", "--workers", "1",
+    out = tmp_path / f"repro-{workers}"
+    code = cli.main(["reproduce", "--seeds", "1,2", "--workers", str(workers),
                      "--out", str(out)])
     assert code == (cli.EXIT_NUMERIC if fail else cli.EXIT_OK)
     return _read_csv(out / "runs.csv"), _read_csv(out / "table.csv")
@@ -403,7 +412,64 @@ def test_reproduce_without_failures_exits_zero(tmp_path, monkeypatch):
     assert {row[5] for row in table[1:]} == {"ok"}
 
 
-@pytest.mark.parametrize("seeds", ["1,x", "", "1,,2", "1.5", "-1", "1,-2"])
+def test_reproduce_pool_matches_in_process(tmp_path, monkeypatch):
+    # --workers defaults to min(4, cpu_count), so the pool is the usual path
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("planted failures reach worker processes only when forked")
+    fail = {("A", 2, "z"), ("B", 1, "y")}
+    runs, table = _reproduce(tmp_path, monkeypatch, fail, workers=2)
+    base_runs, base_table = _reproduce(tmp_path, monkeypatch, fail, workers=1)
+    wall = runs[0].index("wall_seconds")
+    assert table == base_table
+    assert [row[:wall] + row[wall + 1:] for row in runs] == \
+        [row[:wall] + row[wall + 1:] for row in base_runs]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, expected", [(2, [2]), (64, [3]), (1, [])])
+def test_reproduce_starts_no_more_workers_than_jobs(tmp_path, monkeypatch,
+                                                    workers, expected):
+    grid = {"ffn-A": (dict(model="ffn", epochs=1, scenario="A"), ("x", "y", "z"))}
+    monkeypatch.setattr(train_eval, "RESULTS_GRID", grid)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--seeds", "1", "--workers", str(workers),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert _RecordingPool.sizes == expected
+    assert f"workers = {min(workers, 3)}\n" in (out / "run_meta.txt").read_text()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_reproduce_bad_workers_usage_error(tmp_path, capsys, monkeypatch,
+                                           workers):
+    monkeypatch.setattr(cli, "grid_jobs", None)  # no work may start
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--workers", workers,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["1,x", "", "1,,2", "1.5", "-1", "1,-2", "1,1"])
 def test_reproduce_bad_seeds_usage_error(tmp_path, capsys, seeds):
     out = tmp_path / "repro"
     assert cli.main(["reproduce", "--seeds", seeds, "--workers", "1",

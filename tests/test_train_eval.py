@@ -163,8 +163,8 @@ def test_make_batches_adjacent_contiguous():
 
 def test_make_batches_seed_determinism():
     ds = _dataset(100)
-    a = make_batches(ds, 16, "shuffled", 42)
-    b = make_batches(ds, 16, "shuffled", 42)
+    a = make_batches(ds, 16, "shuffled", np.random.default_rng(42))
+    b = make_batches(ds, 16, "shuffled", np.random.default_rng(42))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 

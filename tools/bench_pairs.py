@@ -125,12 +125,19 @@ def machine_block(record: dict) -> dict:
             "blas_threads": info["blas"]["threads"], "cpu": info["cpu"]}
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=positive_int, default=10)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
     parser.add_argument("--what", default="")
     return parser.parse_args(argv)
