@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import itertools
 import os
@@ -24,7 +25,7 @@ from dataclasses import fields as dataclass_fields
 import numpy as np
 
 from . import models as model_zoo
-from .lorenz import NonFinite, SERIES_NAMES, euler_integrate, save_series_csv
+from .lorenz import NonFinite, SERIES_NAMES, euler_integrate
 from .nn_core import grad_check, load_params_csv, param_count, save_params_csv
 from .train_eval import (
     SCENARIOS,
@@ -210,14 +211,14 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--points must be in [1, {len(series)}] for scenario "
                          f"{scenario.name}")
     series = series.truncate(args.points)
-    _write_atomic(os.path.join(out_dir, "trajectory.csv"),
-                  lambda tmp: save_series_csv(series, tmp))
-    for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
-        rows = zip(
-            (f"{v:.17g}" for v in series.series(a)),
-            (f"{v:.17g}" for v in series.series(b)),
-        )
-        write_csv_atomic(os.path.join(out_dir, f"{a}{b}.csv"), [a, b], rows)
+    # each column at full double precision (17 significant digits)
+    columns = {name: [f"{v:.17g}" for v in series.series(name)]
+               for name in SERIES_NAMES}
+    write_csv_atomic(os.path.join(out_dir, "trajectory.csv"),
+                     ["t", *SERIES_NAMES], zip(itertools.count(), *columns.values()))
+    for a, b in itertools.combinations(SERIES_NAMES, 2):
+        write_csv_atomic(os.path.join(out_dir, f"{a}{b}.csv"), [a, b],
+                         zip(columns[a], columns[b]))
     write_meta(os.path.join(out_dir, "run_meta.txt"), {
         "command": "generate",
         "scenario": scenario.name,
@@ -421,14 +422,10 @@ def cmd_reproduce(args) -> int:
 
     started = time.perf_counter()
     outcomes = []
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            for outcome in pool.map(_reproduce_job, configs):
-                outcomes.append(outcome)
-                _print_progress(jobs, len(outcomes))
-    else:
-        for config in configs:
-            outcomes.append(_reproduce_job(config))
+    with (concurrent.futures.ProcessPoolExecutor(workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for outcome in (pool.map if pool else map)(_reproduce_job, configs):
+            outcomes.append(outcome)
             _print_progress(jobs, len(outcomes))
 
     # one runs.csv row per run and series; one table.csv row per cell and series

@@ -12,7 +12,6 @@ one-step-ahead datasets (fixed-length input window -> next value).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +62,6 @@ class LorenzState:
     y: float
     z: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class ScaleTransform:
@@ -108,8 +104,11 @@ class SeriesSet:
             raise KeyError(f"unknown series {name!r}")
         return getattr(self, name)
 
+    def __getitem__(self, index: slice) -> "SeriesSet":
+        return SeriesSet(self.x[index], self.y[index], self.z[index], scale=self.scale)
+
     def truncate(self, n: int) -> "SeriesSet":
-        return SeriesSet(self.x[:n], self.y[:n], self.z[:n], scale=self.scale)
+        return self[:n]
 
 
 def lorenz_derivative(state: LorenzState, params: LorenzParams) -> LorenzState:
@@ -126,16 +125,16 @@ def euler_integrate(init: LorenzState, params: LorenzParams) -> SeriesSet:
     All three coordinates advance simultaneously from the state at step t.
     Returns series of length n_steps + 1, beginning with `init`.
     """
-    n = params.n_steps
+    n, dt = params.n_steps, params.dt
     traj = np.empty((n + 1, 3), dtype=np.float64)
-    traj[0] = init.as_array()
-    sigma, rho, beta, dt = params.sigma, params.rho, params.beta, params.dt
+    traj[0] = init.x, init.y, init.z
+    state = init
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n):
-            x, y, z = traj[t]
-            traj[t + 1, 0] = x + dt * (sigma * (y - x))
-            traj[t + 1, 1] = y + dt * (rho * x - y - x * z)
-            traj[t + 1, 2] = z + dt * (x * y - beta * z)
+            d = lorenz_derivative(state, params)
+            state = LorenzState(state.x + dt * d.x, state.y + dt * d.y,
+                                state.z + dt * d.z)
+            traj[t + 1] = state.x, state.y, state.z
     if not np.all(np.isfinite(traj)):
         bad = int(np.argwhere(~np.isfinite(traj).all(axis=1))[0, 0])
         raise NonFinite(f"trajectory became non-finite at step {bad}")
@@ -173,17 +172,7 @@ def split_train_test(
         raise InsufficientData(
             f"need {n_train + n_test} points, have {len(series_set)}"
         )
-    train = SeriesSet(
-        series_set.x[:n_train], series_set.y[:n_train], series_set.z[:n_train],
-        scale=series_set.scale,
-    )
-    test = SeriesSet(
-        series_set.x[n_train:n_train + n_test],
-        series_set.y[n_train:n_train + n_test],
-        series_set.z[n_train:n_train + n_test],
-        scale=series_set.scale,
-    )
-    return train, test
+    return series_set[:n_train], series_set[n_train:n_train + n_test]
 
 
 @dataclass
@@ -246,13 +235,3 @@ def make_windows(
     )
     return WindowedDataset(inputs, targets, tuple(target_names))
 
-
-def save_series_csv(series_set: SeriesSet, path) -> None:
-    """Write `t,x,y,z` rows at full double precision (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z"])
-        for t in range(len(series_set)):
-            writer.writerow(
-                [t] + [f"{series_set.series(n)[t]:.17g}" for n in SERIES_NAMES]
-            )

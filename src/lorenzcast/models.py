@@ -56,6 +56,17 @@ __all__ = [
 INIT_VARIANT = {"wavenet": "he", "lstm": "xavier", "ffn": "xavier"}
 
 
+class _Model:
+    """A family's parameter store and passes; forward returns (predictions,
+    cache), and predict is forward in evaluation mode, predictions only."""
+
+    def __init__(self, params: ParamStore):
+        self.params = params
+
+    def predict(self, batch):
+        return self.forward(batch)[0]
+
+
 # ---------------------------------------------------------------------------
 # WaveNet-style dilated stack
 
@@ -168,18 +179,12 @@ def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> np.nd
     return d_inputs
 
 
-class WaveNetModel:
-    def __init__(self, params: WaveNetParams):
-        self.params = params
-
+class WaveNetModel(_Model):
     def forward(self, batch, training=False, rng=None):
         return wavenet_forward(batch, self.params)
 
     def backward(self, d_preds, cache):
         return wavenet_backward(d_preds, cache, self.params)
-
-    def predict(self, batch):
-        return wavenet_forward(batch, self.params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +249,12 @@ def lstm_model_backward(d_preds: np.ndarray, cache, params: LstmModelParams):
     return d_sequence.transpose(1, 2, 0)
 
 
-class LstmModel:
-    def __init__(self, params: LstmModelParams):
-        self.params = params
-
+class LstmModel(_Model):
     def forward(self, batch, training=False, rng=None, h0=None, c0=None):
         return lstm_model_forward(batch, self.params, training, rng, h0, c0)
 
     def backward(self, d_preds, cache):
         return lstm_model_backward(d_preds, cache, self.params)
-
-    def predict(self, batch):
-        return lstm_model_forward(batch, self.params, training=False)[0]
 
     @staticmethod
     def carry_state(cache):
@@ -303,15 +302,9 @@ def ffn_backward(d_preds: np.ndarray, cache, params: FfnParams):
     return dense_backward(d_pre, flat, params.hidden)[:, None]
 
 
-class FfnModel:
-    def __init__(self, params: FfnParams):
-        self.params = params
-
+class FfnModel(_Model):
     def forward(self, batch, training=False, rng=None):
         return ffn_forward(batch, self.params)
 
     def backward(self, d_preds, cache):
         return ffn_backward(d_preds, cache, self.params)
-
-    def predict(self, batch):
-        return ffn_forward(batch, self.params)[0]

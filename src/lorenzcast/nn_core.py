@@ -450,7 +450,8 @@ def save_params_csv(params, path) -> None:
 
 
 def load_params_csv(params, path) -> None:
-    """Fill params.theta in place from a checkpoint of the same layout."""
+    """Fill params.theta in place from a checkpoint of the same layout,
+    whose values must all be finite."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if rows[:1] != [CHECKPOINT_HEADER]:
@@ -459,4 +460,9 @@ def load_params_csv(params, path) -> None:
         raise ValueError(
             f"checkpoint rows do not match the model's {params.theta.size} parameters"
         )
-    params.theta[...] = [float(value) for _, _, value in rows[1:]]
+    values = [float(value) for _, _, value in rows[1:]]
+    for line, (row, value) in enumerate(zip(rows[1:], values), start=2):
+        if not math.isfinite(value):
+            raise ValueError(f"line {line} ({row[0]},{row[1]}) holds the "
+                             f"non-finite value {row[2]!r}")
+    params.theta[...] = values

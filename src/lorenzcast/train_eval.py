@@ -111,8 +111,11 @@ class TrainConfig:
         if self.model == "wavenet" and self.resolved_window < model_zoo.RECEPTIVE_FIELD:
             raise ValueError(f"wavenet window must be >= its receptive field "
                              f"{model_zoo.RECEPTIVE_FIELD}")
-        if self.stack_channels is not None and self.stack_channels < 1:
-            raise ValueError("stack_channels must be >= 1")
+        if self.stack_channels is not None:
+            if self.model != "wavenet":
+                raise ValueError("stack_channels sets the wavenet stack's width")
+            if self.stack_channels < 1:
+                raise ValueError("stack_channels must be >= 1")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
         n_points = SCENARIOS[self.scenario].params.n_steps + 1

@@ -130,3 +130,42 @@ def test_pairs_below_one_is_rejected_at_parsing(pairs, capsys):
     assert "--pairs" in capsys.readouterr().err
     assert bench_pairs.parse_args(["--parent", "p", "--change", "c", "--label",
                                    "x", "--pairs", "1"]).pairs == 1
+
+
+BOUNDS = {"op_s": 0.25, "train_examples_per_s": 0.25}
+
+
+def test_regression_is_a_median_worse_by_more_than_the_bound():
+    parent = [(4.0, 100.0)] * 4
+    # op_s 30 % slower breaks its bound; the rate 20 % lower does not
+    change = [(5.2, 80.0)] * 4
+    verdict = bench_pairs.judge_regressions(
+        bench_pairs.summarize(_runs("w", parent, change), BETTER), BETTER, BOUNDS)
+    metrics = verdict["workloads"]["w"]["metrics"]
+    assert metrics["op_s"]["worse_by"] == pytest.approx(0.3)
+    assert metrics["op_s"]["regressed"] and verdict["regressed"]
+    assert metrics["train_examples_per_s"]["worse_by"] == pytest.approx(0.2)
+    assert not metrics["train_examples_per_s"]["regressed"]
+
+    # a higher-is-better metric regresses when it falls; a gain is negative
+    change = [(2.0, 70.0)] * 4
+    verdict = bench_pairs.judge_regressions(
+        bench_pairs.summarize(_runs("w", parent, change), BETTER), BETTER, BOUNDS)
+    metrics = verdict["workloads"]["w"]["metrics"]
+    assert metrics["op_s"]["worse_by"] == pytest.approx(-0.5)
+    assert not metrics["op_s"]["regressed"]
+    assert metrics["train_examples_per_s"]["regressed"] and verdict["regressed"]
+
+
+def test_regression_is_a_larger_share_of_failed_operations():
+    parent = [(4.0, 100.0)] * 4
+    summary = bench_pairs.summarize(_runs("w", parent, parent, failed=(0, 1)),
+                                    BETTER)
+    verdict = bench_pairs.judge_regressions(summary, BETTER, BOUNDS)
+    assert verdict["workloads"]["w"]["more_failures"] and verdict["regressed"]
+
+    summary = bench_pairs.summarize(_runs("w", parent, parent, failed=(1, 1)),
+                                    BETTER)
+    verdict = bench_pairs.judge_regressions(summary, BETTER, BOUNDS)
+    assert not verdict["workloads"]["w"]["more_failures"]
+    assert not verdict["regressed"]

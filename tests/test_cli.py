@@ -2,12 +2,15 @@ import csv
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lorenzcast
 from lorenzcast import cli, train_eval
 from lorenzcast import models as mz
 from lorenzcast.lorenz import NonFinite
@@ -43,6 +46,23 @@ def test_generate_scenario_a(tmp_path):
         pair = _read_csv(out / name)
         assert len(pair) == 1501 and len(pair[1]) == 2
     assert (out / "run_meta.txt").exists()
+
+
+# sha256 of the files `generate --scenario A` writes. Euler stepping runs on
+# Python floats and touches no BLAS, so these hold on any IEEE-754 host.
+GENERATE_A_SHA256 = {
+    "trajectory.csv": "fd741bfbd4f0f406eeec89f5de131d540114dd27fa822ae42a0a1ae0c81ae275",
+    "xy.csv": "0e48272b2bb73a25d26c6d4d7fbe3d04efe462b345ba9827883ba192ebfe0501",
+    "xz.csv": "677fd0467b3aca87693d6180eedfa97e0f6b098d14059b331a31f2b3a146327e",
+    "yz.csv": "0456d393ede269bfeb044ae8e11c48275baa7bcf3f87da52df75d24585be3fbd",
+}
+
+
+def test_generate_outputs_match_pinned_bytes(tmp_path):
+    out = tmp_path / "gen"
+    assert cli.main(["generate", "--scenario", "A", "--out", str(out)]) == 0
+    assert {name: hashlib.sha256(_read_bytes(out / name)).hexdigest()
+            for name in GENERATE_A_SHA256} == GENERATE_A_SHA256
 
 
 def test_generate_scenario_b_bounded(tmp_path):
@@ -190,6 +210,28 @@ def test_train_outputs_match_pinned_bytes(tmp_path, model_args, checkpoint,
     assert _read_bytes(tmp_path / "again.csv") == _read_bytes(out / "checkpoint.csv")
 
 
+@pytest.mark.parametrize("model_args", [["--model", "lstm", "--conditional"],
+                                        ["--model", "ffn"]],
+                         ids=["lstm-conditional", "ffn"])
+def test_pinned_bytes_hold_at_one_blas_thread(tmp_path, model_args):
+    # the in-process run above uses OpenBLAS's default thread count; this
+    # one sets a single thread in the child's environment only
+    (checkpoint, predictions), = [row[1:] for row in GOLDEN_3_EPOCHS
+                                  if row[0] == model_args]
+    out = tmp_path / "run"
+    src = os.path.dirname(os.path.dirname(lorenzcast.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-m", "lorenzcast.cli", "train",
+                    "--out", str(out), *model_args, "--target", "x",
+                    "--scenario", "A", "--seed", "1234", "--epochs", "3"],
+                   env=env, check=True, capture_output=True, timeout=300)
+    sha = {name: hashlib.sha256(_read_bytes(out / name)).hexdigest()
+           for name in ("checkpoint.csv", "predictions_x.csv")}
+    assert sha == {"checkpoint.csv": checkpoint, "predictions_x.csv": predictions}
+
+
 def test_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
     def failing_save(params, path):
         with open(path, "w") as fh:
@@ -233,12 +275,15 @@ def test_outputs_follow_the_umask(tmp_path):
     ["--model", "wavenet", "--l2-lambda", "inf", "--epochs", "1"],
     ["--model", "lstm", "--l2-lambda", "inf", "--epochs", "1"],
     ["--model", "ffn", "--l2-lambda", "nan", "--epochs", "1"],
+    ["--model", "lstm", "--stack-channels", "7", "--epochs", "1"],
+    ["--model", "ffn", "--stack-channels", "1", "--epochs", "1"],
 ], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
         "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
         "ffn-dropout-neg", "epochs-0", "epochs-neg", "wavenet-stack-channels-0",
         "wavenet-stack-channels-neg", "lstm-window-0", "lstm-window-neg",
         "wavenet-l2-lambda-neg", "ffn-seed-neg", "lstm-lr-inf", "ffn-lr-nan",
-        "wavenet-l2-lambda-inf", "lstm-l2-lambda-inf", "ffn-l2-lambda-nan"])
+        "wavenet-l2-lambda-inf", "lstm-l2-lambda-inf", "ffn-l2-lambda-nan",
+        "lstm-stack-channels", "ffn-stack-channels"])
 def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert cli.main(["train", "--out", str(out), *args]) == cli.EXIT_USAGE
@@ -248,7 +293,8 @@ def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("line", ["seed = 12.5", "seed = -1", "epochs = three",
                                   "learning_rate = fast", "learning_rate = inf",
-                                  "l2_lambda = inf", "task_weights = nan,0.5,0.5"])
+                                  "l2_lambda = inf", "task_weights = nan,0.5,0.5",
+                                  "stack_channels = 3"])
 def test_train_config_file_bad_number_usage_error(tmp_path, capsys, line):
     config = tmp_path / "bad.cfg"
     config.write_text(f"model = ffn\n{line}\n")
@@ -284,9 +330,14 @@ def _corrupt_layout(rows):
     return rows[:-1]
 
 
+def _corrupt_value(value):
+    return lambda rows: rows[:2] + [rows[2][:2] + [value]] + rows[3:]
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_header, _corrupt_index,
-                                     _corrupt_layout, lambda rows: []],
-                         ids=["header", "index", "layout", "empty"])
+                                     _corrupt_layout, lambda rows: [],
+                                     _corrupt_value("nan"), _corrupt_value("-inf")],
+                         ids=["header", "index", "layout", "empty", "nan", "inf"])
 def test_eval_bad_checkpoint_usage_error(tmp_path, capsys, corrupt):
     out = _train(tmp_path, "run", "--model", "ffn", "--epochs", "1")
     ckpt = out / "checkpoint.csv"
@@ -514,7 +565,8 @@ def _train_configs(draw):
         dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
         n_train=n_train,
         n_test=draw(st.integers(1, 1501 - n_train)),
-        stack_channels=draw(st.none() | st.integers(1, 8)),
+        stack_channels=draw(st.none() | st.integers(1, 8))
+        if model == "wavenet" else None,
     )
 
 

@@ -17,7 +17,6 @@ from lorenzcast.lorenz import (
     make_windows,
     rescale,
     rescale_series_set,
-    save_series_csv,
     split_train_test,
 )
 
@@ -55,6 +54,20 @@ def test_euler_single_step_hand_value():
     assert abs(series.x[1] - 0.05) < 1e-12
     assert abs(series.y[1] - 0.99) < 1e-12
     assert abs(series.z[1] - 0.98) < 1e-12
+
+
+@settings(max_examples=50)
+@given(st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3))
+def test_euler_steps_with_lorenz_derivative(coords):
+    # the integrator and C1 share one right-hand side, bit for bit
+    params = LorenzParams(sigma=10.0, rho=28.0, beta=8.0 / 3.0, n_steps=3)
+    series = euler_integrate(LorenzState(*coords), params)
+    for t in range(params.n_steps):
+        state = LorenzState(series.x[t], series.y[t], series.z[t])
+        d = lorenz_derivative(state, params)
+        assert (series.x[t + 1], series.y[t + 1], series.z[t + 1]) == (
+            state.x + params.dt * d.x, state.y + params.dt * d.y,
+            state.z + params.dt * d.z)
 
 
 def test_euler_zero_steps_returns_init():
@@ -190,15 +203,3 @@ def test_rescale_series_set_scales_all():
         assert values.min() == -0.5 and values.max() == 0.5
     assert set(scaled.scale) == {"x", "y", "z"}
 
-
-def test_series_csv_round_trip(tmp_path):
-    params = LorenzParams(sigma=5.0, rho=20.0, beta=2.0, n_steps=100)
-    series = euler_integrate(LorenzState(0.0, 1.0, 1.0), params)
-    path = tmp_path / "trajectory.csv"
-    save_series_csv(series, path)
-    with open(path) as fh:
-        assert fh.readline() == "t,x,y,z\n"
-    table = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(table[:, 0], np.arange(len(series)))
-    for j, name in enumerate(("x", "y", "z"), start=1):
-        assert np.array_equal(table[:, j], series.series(name))

@@ -473,7 +473,8 @@ def _model_configs(draw):
     conditional = model != "ffn" and draw(st.booleans())
     multitask = model == "wavenet" and conditional and draw(st.booleans())
     return TrainConfig(model=model, conditional=conditional, multitask=multitask,
-                       stack_channels=draw(st.integers(1, 4)),
+                       stack_channels=draw(st.integers(1, 4))
+                       if model == "wavenet" else None,
                        seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 

@@ -234,6 +234,9 @@ def test_config_validation():
                     task_weights=(0.5, 0.4, 0.2))  # does not sum to 1
     with pytest.raises(ValueError):
         TrainConfig(model="wavenet", batch_size=0)
+    for model in ("lstm", "ffn"):  # no stack to widen
+        with pytest.raises(ValueError, match="stack_channels"):
+            TrainConfig(model=model, stack_channels=1)
     for model in ("wavenet", "lstm", "ffn"):
         for bad in (dict(window=0), dict(window=-2), dict(l2_lambda=-1e-3),
                     dict(seed=-1)):

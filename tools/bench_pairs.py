@@ -19,7 +19,11 @@ operation or a failed harness check) and every raw result. With --claim it
 also states whether the claimed metric improved by the rule used to accept
 a claim: the change is better in at least 9 of 10 pairs, its median beats
 the parent's by more than the parent's interquartile range, and it has no
-more failed operations and no more incorrect runs than the parent.
+more failed operations and no more incorrect runs than the parent. With or
+without --claim it judges regressions by the rule that rejects any change:
+on some workload, an end-to-end metric's median is worse than the parent's
+by more than that metric's `bound` (a fraction of the parent's median), or
+the change fails a larger share of its operations.
 
 Standard library only.
 """
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -97,6 +102,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             }
         entry["failed_ops"] = {side: sum(sides[side]["failed"] for sides in paired)
                                for side in SIDES}
+        entry["attempted_ops"] = {side: sum(sides[side]["attempted"] for sides in paired)
+                                  for side in SIDES}
         entry["incorrect_runs"] = {side: sum(not sides[side]["correct"] for sides in paired)
                                    for side in SIDES}
         summary[workload] = entry
@@ -117,6 +124,32 @@ def judge_claim(summary: dict, workload: str, metric: str, direction: str) -> di
              and all(entry[key]["change"] <= entry[key]["parent"]
                      for key in ("failed_ops", "incorrect_runs")))
     return {"workload": workload, "metric": metric, **stats, "holds": holds}
+
+
+def judge_regressions(summary: dict, better: dict[str, str],
+                      bounds: dict[str, float]) -> dict:
+    """Per workload and metric, how much worse the change's median is than
+    the parent's, as a fraction of the parent's (negative when better), and
+    whether that exceeds the metric's bound; per workload, whether the change
+    fails a larger share of its operations. `regressed` is true when any of
+    these holds."""
+    workloads = {}
+    for workload, entry in summary.items():
+        metrics = {}
+        for metric, direction in better.items():
+            parent, change = entry[metric]["parent_median"], entry[metric]["change_median"]
+            worse = (change - parent) * (1.0 if direction == "lower" else -1.0)
+            worse_by = worse / abs(parent) if parent else (math.inf if worse > 0 else 0.0)
+            metrics[metric] = {"worse_by": worse_by, "bound": bounds[metric],
+                               "regressed": worse_by > bounds[metric]}
+        share = {side: entry["failed_ops"][side] / max(entry["attempted_ops"][side], 1)
+                 for side in SIDES}
+        workloads[workload] = {"metrics": metrics,
+                               "more_failures": share["change"] > share["parent"]}
+    regressed = any(verdict["more_failures"]
+                    or any(m["regressed"] for m in verdict["metrics"].values())
+                    for verdict in workloads.values())
+    return {"regressed": regressed, "workloads": workloads}
 
 
 def machine_block(record: dict) -> dict:
@@ -147,6 +180,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
@@ -163,6 +197,14 @@ def main(argv=None) -> int:
     if args.claim:
         workload, metric = args.claim.split(":")
         claim = judge_claim(summary, workload, metric, better[metric])
+    regressions = judge_regressions(summary, better, bounds)
+    for workload, verdict in regressions["workloads"].items():
+        for metric, stats in verdict["metrics"].items():
+            if stats["regressed"]:
+                print(f"REGRESSION {workload} {metric}: worse by "
+                      f"{stats['worse_by']:.1%}, bound {stats['bound']:.0%}")
+        if verdict["more_failures"]:
+            print(f"REGRESSION {workload}: a larger share of operations failed")
     out = {
         "label": args.label,
         "what": args.what,
@@ -174,6 +216,7 @@ def main(argv=None) -> int:
                     f"{', '.join(workloads)}",
         "machine": machine,
         "claim": claim,
+        "regressions": regressions,
         "summary": summary,
         "runs": runs,
     }
