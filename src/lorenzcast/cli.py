@@ -58,6 +58,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as a UsageError (exit 1, one line), not as
+    usage text and SystemExit(2). Subcommand parsers share this class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # atomic file helpers
 
@@ -95,6 +103,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
     return str(value)
 
 
@@ -116,53 +126,52 @@ def write_meta(path: str, record: dict, comments: dict | None = None) -> None:
 
 def read_meta(path: str) -> dict[str, str]:
     record = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            record[key.strip()] = value.strip()
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                key, _, value = line.partition("=")
+                record[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     return record
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclass_fields(TrainConfig)}
 
 
-def _coerce(name: str, raw: str):
-    if name in ("conditional", "multitask"):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise UsageError(f"{name} must be boolean, got {raw!r}")
-    if name in ("seed", "epochs", "batch_size", "window", "n_train", "n_test",
-                "stack_channels"):
-        return int(raw)
-    if name in ("learning_rate", "l2_lambda", "dropout"):
-        return float(raw)
-    if name == "task_weights":
-        return tuple(float(v) for v in raw.split(","))
-    return raw
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true or false, got {raw!r}")
 
 
-def config_from_record(record: dict[str, str],
-                       overrides: dict | None = None) -> TrainConfig:
+# TrainConfig annotation -> parser of a value's text. An optional field that
+# is unset has no record line, so `int | None` parses as `int`.
+_PARSERS = {"str": str, "bool": _parse_bool, "int": int, "float": float,
+            "tuple[float, ...]": lambda raw: tuple(map(float, raw.split(",")))}
+
+
+def config_from_record(record: dict[str, str]) -> TrainConfig:
+    """The TrainConfig a --config record, with any train flags merged over
+    it, describes. Every value is text; a bad one is a UsageError."""
     kwargs = {}
     for key, raw in record.items():
         if key == "command":
             continue
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"unknown config key {key!r}")
+        parse = _PARSERS[_CONFIG_FIELDS[key].type.removesuffix(" | None")]
         try:
-            kwargs[key] = _coerce(key, raw)
+            kwargs[key] = parse(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: {exc}") from None
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            kwargs[key] = value
     try:
         return TrainConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -170,16 +179,10 @@ def config_from_record(record: dict[str, str],
 
 
 def config_record(config: TrainConfig) -> dict:
-    """The record config_from_record turns back into `config`."""
-    record = {}
-    for f in dataclass_fields(TrainConfig):
-        value = getattr(config, f.name)
-        if value is None:  # unset optionals fall back to their defaults on replay
-            continue
-        if f.name == "task_weights":
-            value = ",".join(f"{w:.17g}" for w in value)
-        record[f.name] = value
-    return record
+    """The record config_from_record turns back into `config`. Unset
+    optionals are left out, so they fall back to their defaults on replay."""
+    return {name: getattr(config, name) for name in _CONFIG_FIELDS
+            if getattr(config, name) is not None}
 
 
 def resolve_out_dir(arg: str | None, default_name: str) -> str:
@@ -273,8 +276,9 @@ def _write_predictions(out_dir: str, config: TrainConfig, result) -> None:
 
 def cmd_train(args) -> int:
     record = read_meta(args.config) if args.config else {}
-    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
-    config = config_from_record(record, overrides)
+    record.update((name, getattr(args, name)) for name in _CONFIG_FIELDS
+                  if getattr(args, name) is not None)
+    config = config_from_record(record)
     if config.resolved_epochs < 1:  # the library allows 0 (an untrained model)
         raise UsageError("epochs must be >= 1")
     out_dir = resolve_out_dir(
@@ -424,9 +428,12 @@ def cmd_reproduce(args) -> int:
     outcomes = []
     with (concurrent.futures.ProcessPoolExecutor(workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        for outcome in (pool.map if pool else map)(_reproduce_job, configs):
-            outcomes.append(outcome)
-            _print_progress(jobs, len(outcomes))
+        try:
+            for outcome in (pool.map if pool else map)(_reproduce_job, configs):
+                outcomes.append(outcome)
+                _print_progress(jobs, len(outcomes))
+        except concurrent.futures.BrokenExecutor:  # a worker process died
+            outcomes += ["failed: worker died"] * (len(jobs) - len(outcomes))
 
     # one runs.csv row per run and series; one table.csv row per cell and series
     runs_rows, table_rows = [], []
@@ -476,7 +483,7 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorenzcast",
         description="Lorenz-trajectory one-step-ahead forecasting",
     )
@@ -490,20 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one forecaster and evaluate it")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--model", choices=("wavenet", "lstm", "ffn"), default=None)
-    p.add_argument("--conditional", action="store_const", const=True, default=None)
-    p.add_argument("--multitask", action="store_const", const=True, default=None)
-    p.add_argument("--target", choices=SERIES_NAMES, default=None)
-    p.add_argument("--scenario", choices=sorted(SCENARIOS), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--sampling", choices=("shuffled", "adjacent"), default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--l2-lambda", dest="l2_lambda", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--stack-channels", dest="stack_channels", type=int, default=None)
+    for f in _CONFIG_FIELDS.values():  # as text, parsed with the --config lines
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, dest=f.name, action="store_const", const="true")
+        else:
+            p.add_argument(flag, dest=f.name)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -525,13 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help; a bad argument raises UsageError
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

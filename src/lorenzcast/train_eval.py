@@ -122,6 +122,9 @@ class TrainConfig:
         if self.n_train + self.n_test > n_points:
             raise ValueError(f"n_train + n_test must be <= the {n_points} "
                              f"points scenario {self.scenario} generates")
+        if self.resolved_window > n_points:  # a longer one reads only padding
+            raise ValueError(f"window must be <= the {n_points} points "
+                             f"scenario {self.scenario} generates")
         if self.model == "ffn" and self.resolved_window != model_zoo.FfnParams.WINDOW:
             raise ValueError(f"ffn window must be {model_zoo.FfnParams.WINDOW}")
         if self.multitask:

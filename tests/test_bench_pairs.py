@@ -58,7 +58,7 @@ def test_summary_medians_iqr_and_wins():
     op = summary["w"]["op_s"]
     assert op == {"parent_median": 3.5, "change_median": 2.75,
                   "parent_iqr": 1.5, "change_better_pairs": 3,
-                  "pairs": 4}
+                  "change_beats_every_parent_run": False, "pairs": 4}
     rate = summary["w"]["train_examples_per_s"]
     assert rate["parent_median"] == 105.0 and rate["change_median"] == 95.0
     assert rate["change_better_pairs"] == 1
@@ -169,3 +169,30 @@ def test_regression_is_a_larger_share_of_failed_operations():
     verdict = bench_pairs.judge_regressions(summary, BETTER, BOUNDS)
     assert not verdict["workloads"]["w"]["more_failures"]
     assert not verdict["regressed"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # the parent's op_s IQR is 1.0 on a median of 3.0 (33 %), above the 25 %
+    # bound; its rate spreads 2 % and is resolved
+    parent = [(2.0, 100.0), (2.5, 101.0), (3.0, 102.0), (3.5, 103.0), (4.0, 104.0)]
+    flat = [(3.1, 102.0)] * 5
+    verdict = bench_pairs.judge_regressions(
+        bench_pairs.summarize(_runs("w", parent, flat), BETTER), BETTER, BOUNDS)
+    metrics = verdict["workloads"]["w"]["metrics"]
+    assert metrics["op_s"]["parent_spread"] == pytest.approx(1 / 3)
+    assert metrics["op_s"]["unresolved"] and not metrics["op_s"]["regressed"]
+    assert not metrics["train_examples_per_s"]["unresolved"]
+    assert not verdict["regressed"]
+
+    # unless every run of the change beats every run of the parent
+    faster = [(1.9, 105.0)] * 5
+    metrics = bench_pairs.judge_regressions(
+        bench_pairs.summarize(_runs("w", parent, faster), BETTER), BETTER,
+        BOUNDS)["workloads"]["w"]["metrics"]
+    assert not metrics["op_s"]["unresolved"]
+    # one change run as slow as the parent's fastest is not enough
+    tie = faster[:4] + [(2.0, 105.0)]
+    metrics = bench_pairs.judge_regressions(
+        bench_pairs.summarize(_runs("w", parent, tie), BETTER), BETTER,
+        BOUNDS)["workloads"]["w"]["metrics"]
+    assert metrics["op_s"]["unresolved"]

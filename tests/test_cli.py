@@ -74,9 +74,10 @@ def test_generate_scenario_b_bounded(tmp_path):
     assert np.max(np.abs(values)) < 100.0
 
 
-def test_generate_invalid_scenario_usage_error(tmp_path):
+def test_generate_invalid_scenario_usage_error(tmp_path, capsys):
     assert cli.main(["generate", "--scenario", "Q",
                      "--out", str(tmp_path)]) == 1
+    _assert_one_line_error(capsys)
 
 
 def test_generate_points_writes_that_many_rows(tmp_path, capsys):
@@ -149,6 +150,24 @@ def test_train_replay_from_metadata(tmp_path):
     assert cli.main(["train", "--config", str(a / "run_meta.txt"),
                      "--out", str(b)]) == 0
     assert _read_bytes(a / "predictions_y.csv") == _read_bytes(b / "predictions_y.csv")
+
+
+def test_train_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"model = ffn\n\xff\xfe = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(config) in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+    # eval reads run_meta.txt the same way
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "run_meta.txt").write_bytes(config.read_bytes())
+    assert cli.main(["eval", "--run", str(tmp_path / "run")]) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
 
 
 def test_train_rejects_unknown_config_key(tmp_path):
@@ -277,13 +296,23 @@ def test_outputs_follow_the_umask(tmp_path):
     ["--model", "ffn", "--l2-lambda", "nan", "--epochs", "1"],
     ["--model", "lstm", "--stack-channels", "7", "--epochs", "1"],
     ["--model", "ffn", "--stack-channels", "1", "--epochs", "1"],
+    ["--model", "lstm", "--window", "1000000000000"],  # above the 1501 points
+    ["--model", "lstm", "--window", "1502"],
+    ["--model", "foo"],
+    ["--model", "ffn", "--seed", "abc"],
+    ["--model", "ffn", "--epochs", "2.5"],
+    ["--model", "ffn", "--scenario", "Q"],
+    ["--model", "wavenet", "--conditional", "--multitask",
+     "--task-weights", "0.5,0.5"],
 ], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
         "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
         "ffn-dropout-neg", "epochs-0", "epochs-neg", "wavenet-stack-channels-0",
         "wavenet-stack-channels-neg", "lstm-window-0", "lstm-window-neg",
         "wavenet-l2-lambda-neg", "ffn-seed-neg", "lstm-lr-inf", "ffn-lr-nan",
         "wavenet-l2-lambda-inf", "lstm-l2-lambda-inf", "ffn-l2-lambda-nan",
-        "lstm-stack-channels", "ffn-stack-channels"])
+        "lstm-stack-channels", "ffn-stack-channels", "lstm-window-huge",
+        "lstm-window-1502", "model-unknown", "seed-not-a-number",
+        "epochs-not-an-int", "scenario-unknown", "task-weights-two"])
 def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert cli.main(["train", "--out", str(out), *args]) == cli.EXIT_USAGE
@@ -390,17 +419,22 @@ def test_grad_check_corrupted_backward_fails(monkeypatch):
 # reproduce
 
 
-def _reproduce(tmp_path, monkeypatch, fail, workers=1):
+def _reproduce(tmp_path, monkeypatch, fail, workers=1, die=frozenset()):
     """Run reproduce over two 1-epoch ffn cells at seeds 1 and 2; train
-    raises NonFinite for the (scenario, seed, target) runs in `fail`.
-    Worker processes see the planted failures only when forked."""
+    raises NonFinite for the (scenario, seed, target) runs in `fail`, and
+    the worker process running one of `die` exits on the spot. Worker
+    processes see the planted failures only when forked."""
     grid = {"ffn-A": (dict(model="ffn", epochs=1, scenario="A"), ("x", "y", "z")),
             "ffn-B": (dict(model="ffn", epochs=1, scenario="B"), ("x", "y", "z"))}
     monkeypatch.setattr(train_eval, "RESULTS_GRID", grid)
     real_train = train_eval.train
+    main_pid = os.getpid()
 
     def flaky_train(config):
-        if (config.scenario, config.seed, config.target) in fail:
+        run = (config.scenario, config.seed, config.target)
+        if run in die and os.getpid() != main_pid:
+            os._exit(9)
+        if run in fail:
             raise NonFinite("planted divergence")
         return real_train(config)
 
@@ -408,7 +442,7 @@ def _reproduce(tmp_path, monkeypatch, fail, workers=1):
     out = tmp_path / f"repro-{workers}"
     code = cli.main(["reproduce", "--seeds", "1,2", "--workers", str(workers),
                      "--out", str(out)])
-    assert code == (cli.EXIT_NUMERIC if fail else cli.EXIT_OK)
+    assert code == (cli.EXIT_NUMERIC if fail or die else cli.EXIT_OK)
     return _read_csv(out / "runs.csv"), _read_csv(out / "table.csv")
 
 
@@ -476,6 +510,26 @@ def test_reproduce_pool_matches_in_process(tmp_path, monkeypatch):
         [row[:wall] + row[wall + 1:] for row in base_runs]
 
 
+def test_reproduce_marks_the_runs_of_a_dead_worker(tmp_path, monkeypatch, capsys):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the planted exit reaches worker processes only when forked")
+    runs, table = _reproduce(tmp_path, monkeypatch, fail=set(), workers=2,
+                             die={("B", 1, "x")})
+    err = capsys.readouterr().err
+    status = [row[-1] for row in runs[1:]]
+    died = status.count("failed: worker died")
+    assert err == f"{died} of 12 runs failed; see runs.csv\n"
+    # map yields in job order: the finished runs come first, then every run
+    # the broken pool left without an outcome, the dead one among them
+    assert status == ["ok"] * (12 - died) + ["failed: worker died"] * died
+    # the dead run is the 7th of 12, so it and every later run are marked
+    assert runs[7][:8] == ["ffn-B", "ffn", "false", "false", "shuffled", "B",
+                           "1", "x"]
+    assert died >= 6
+    assert len(table) == 1 + 6
+    assert (tmp_path / "repro-2" / "run_meta.txt").exists()
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
 
@@ -535,10 +589,29 @@ def test_reproduce_bad_seeds_usage_error(tmp_path, capsys, seeds):
 
 def test_help_exits_zero():
     assert cli.main(["--help"]) == 0
+    assert cli.main(["train", "--help"]) == 0
 
 
-def test_missing_command_usage_error():
+def test_missing_command_usage_error(capsys):
     assert cli.main([]) == 1
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["generate", "--points", "ten"],
+    ["generate", "--bogus"],
+    ["train", "--model", "ffn", "--conditional", "yes"],
+    ["train", "--model"],
+    ["eval"],
+    ["grad-check", "--seed", "abc"],
+    ["reproduce", "--workers", "two"],
+], ids=["unknown-command", "generate-points", "generate-unknown-flag",
+        "train-bool-flag-value", "train-flag-without-value", "eval-without-run",
+        "grad-check-seed", "reproduce-workers"])
+def test_bad_argument_usage_error(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
 
 
 @st.composite
@@ -577,6 +650,39 @@ def test_config_record_round_trips_through_meta(tmp_path, config):
     path = tmp_path / "meta.txt"
     cli.write_meta(path, {"command": "train", **cli.config_record(config)})
     assert cli.config_from_record(cli.read_meta(path)) == config
+
+
+def _flags(record):
+    """`train` flags that set each value of a config record."""
+    flags = []
+    for name, value in record.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, bool):
+            flags += [flag] if value else []
+        else:
+            flags += [flag, cli._fmt(value)]
+    return flags
+
+
+@settings(deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_train_configs())
+def test_train_flags_and_config_file_agree(tmp_path, config):
+    """The flags that set config_record(config) yield the TrainConfig that
+    the same record does as a --config file: `config` itself."""
+    path = tmp_path / "meta.txt"
+    cli.write_meta(path, {"command": "train", **cli.config_record(config)})
+    parsed, real = [], cli.config_from_record
+
+    def parse_only(record):  # stop before any training
+        parsed.append(real(record))
+        raise cli.UsageError("parsed")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "config_from_record", parse_only)
+        for argv in (["--config", str(path)], _flags(cli.config_record(config))):
+            assert cli.main(["train", *argv]) == cli.EXIT_USAGE
+    assert parsed == [config, config]
 
 
 def test_meta_round_trip(tmp_path):

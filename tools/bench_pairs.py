@@ -23,7 +23,10 @@ more failed operations and no more incorrect runs than the parent. With or
 without --claim it judges regressions by the rule that rejects any change:
 on some workload, an end-to-end metric's median is worse than the parent's
 by more than that metric's `bound` (a fraction of the parent's median), or
-the change fails a larger share of its operations.
+the change fails a larger share of its operations. A metric whose parent
+runs spread wider than its bound (an IQR above `bound` times the median) is
+marked unresolved, and not shown unchanged, unless every run of the change
+beats every run of the parent.
 
 Standard library only.
 """
@@ -75,9 +78,10 @@ def iqr(values: list[float]) -> float:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: both medians, the parent's IQR and the pairs
-    the change won (a tie is not a win); plus, per side, the failed
-    operations and the runs whose result is not correct.
+    """Per workload and metric: both medians, the parent's IQR, the pairs
+    the change won (a tie is not a win) and whether every run of the change
+    beats every run of the parent; plus, per side, the failed operations and
+    the runs whose result is not correct.
 
     `better` maps each metric to "lower" or "higher"."""
     summary = {}
@@ -98,6 +102,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "parent_iqr": iqr(values["parent"]),
                 "change_better_pairs": sum(sign * (p - c) > 0 for p, c in
                                            zip(values["parent"], values["change"])),
+                "change_beats_every_parent_run":
+                    min(sign * p for p in values["parent"])
+                    > max(sign * c for c in values["change"]),
                 "pairs": len(paired),
             }
         entry["failed_ops"] = {side: sum(sides[side]["failed"] for sides in paired)
@@ -132,7 +139,11 @@ def judge_regressions(summary: dict, better: dict[str, str],
     the parent's, as a fraction of the parent's (negative when better), and
     whether that exceeds the metric's bound; per workload, whether the change
     fails a larger share of its operations. `regressed` is true when any of
-    these holds."""
+    these holds.
+
+    A metric is `unresolved` when the parent's IQR exceeds its bound times
+    the parent's median, unless every run of the change beats every run of
+    the parent: its runs then spread too widely to show it unchanged."""
     workloads = {}
     for workload, entry in summary.items():
         metrics = {}
@@ -140,8 +151,15 @@ def judge_regressions(summary: dict, better: dict[str, str],
             parent, change = entry[metric]["parent_median"], entry[metric]["change_median"]
             worse = (change - parent) * (1.0 if direction == "lower" else -1.0)
             worse_by = worse / abs(parent) if parent else (math.inf if worse > 0 else 0.0)
-            metrics[metric] = {"worse_by": worse_by, "bound": bounds[metric],
-                               "regressed": worse_by > bounds[metric]}
+            spread = entry[metric]["parent_iqr"]
+            spread = spread / abs(parent) if parent else (math.inf if spread else 0.0)
+            metrics[metric] = {
+                "worse_by": worse_by, "bound": bounds[metric],
+                "regressed": worse_by > bounds[metric],
+                "parent_spread": spread,
+                "unresolved": (spread > bounds[metric] and not
+                               entry[metric]["change_beats_every_parent_run"]),
+            }
         share = {side: entry["failed_ops"][side] / max(entry["attempted_ops"][side], 1)
                  for side in SIDES}
         workloads[workload] = {"metrics": metrics,
@@ -203,6 +221,10 @@ def main(argv=None) -> int:
             if stats["regressed"]:
                 print(f"REGRESSION {workload} {metric}: worse by "
                       f"{stats['worse_by']:.1%}, bound {stats['bound']:.0%}")
+            if stats["unresolved"]:
+                print(f"UNRESOLVED {workload} {metric}: the parent's IQR is "
+                      f"{stats['parent_spread']:.1%} of its median, above the "
+                      f"bound {stats['bound']:.0%}")
         if verdict["more_failures"]:
             print(f"REGRESSION {workload}: a larger share of operations failed")
     out = {
