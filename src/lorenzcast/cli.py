@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import csv
 import itertools
 import os
@@ -31,7 +30,6 @@ from .train_eval import (
     SCENARIOS,
     EvalReport,
     TrainConfig,
-    aggregate_reports,
     build_model,
     evaluate,
     grid_jobs,
@@ -400,10 +398,52 @@ def _run_series(config: TrainConfig) -> tuple[str, ...]:
     return SERIES_NAMES if config.multitask else (config.target,)
 
 
-def _print_progress(jobs, done: int) -> None:
-    cell, config = jobs[done - 1]
-    print(f"[{done}/{len(jobs)}] {cell} seed={config.seed} "
-          f"series={','.join(_run_series(config))} done")
+def _finished_runs(configs, workers: int):
+    """(job index, outcome) of each run as it finishes: in job order
+    in-process when `workers` is 1, else in finish order from a process
+    pool. A run a dead worker left without an outcome is "failed: worker died"."""
+    if workers == 1:
+        yield from enumerate(map(_reproduce_job, configs))
+        return
+    pool = concurrent.futures.ProcessPoolExecutor(workers)
+    try:
+        futures = {pool.submit(_reproduce_job, config): i
+                   for i, config in enumerate(configs)}
+        for future in concurrent.futures.as_completed(futures):
+            died = isinstance(future.exception(), concurrent.futures.BrokenExecutor)
+            yield futures[future], "failed: worker died" if died else future.result()
+    finally:  # an interrupted grid starts no further run
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_rows(cell: str, config: TrainConfig, outcome) -> list[list]:
+    """runs.csv's rows of one finished run, one per series it forecasts."""
+    label = [cell, config.model, _fmt(config.conditional), _fmt(config.multitask),
+             config.sampling, config.scenario, config.seed]
+    if isinstance(outcome, EvalReport):
+        return [label + [series, _fmt(value), _fmt(outcome.rmse_raw[series]),
+                         _fmt(outcome.wall_seconds), "ok"]
+                for series, value in outcome.rmse_scaled.items()]
+    return [label + [series, "", "", "", outcome]
+            for series in _run_series(config)]
+
+
+def _table_rows(runs_rows) -> list[list]:
+    """table.csv's rows from runs.csv's, one per cell and series: the mean
+    (needs one) and ddof=1 std (needs two) of its ok runs' scaled RMSE,
+    their number, and "ok" when every run is ok, "partial" when some are
+    and "failed" when none are."""
+    rows = [dict(zip(RUNS_COLUMNS, row)) for row in runs_rows]
+    table = []
+    for cell, series in itertools.product(dict.fromkeys(row["cell"] for row in rows),
+                                          SERIES_NAMES):
+        runs = [row for row in rows if (row["cell"], row["series"]) == (cell, series)]
+        values = [float(run["rmse_scaled"]) for run in runs if run["status"] == "ok"]
+        mean = float(np.mean(values)) if values else None
+        std = float(np.std(values, ddof=1)) if len(values) >= 2 else None
+        status = "ok" if len(values) == len(runs) else "partial" if values else "failed"
+        table.append([cell, series, _fmt(mean), _fmt(std), len(values), status])
+    return table
 
 
 def cmd_reproduce(args) -> int:
@@ -421,59 +461,29 @@ def cmd_reproduce(args) -> int:
     out_dir = resolve_out_dir(args.out, "reproduce")
     os.makedirs(out_dir, exist_ok=True)
     jobs = grid_jobs(seeds)
-    configs = [config for _, config in jobs]
     workers = min(args.workers, len(jobs))  # no idle worker processes
 
     started = time.perf_counter()
-    outcomes = []
-    with (concurrent.futures.ProcessPoolExecutor(workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        try:
-            for outcome in (pool.map if pool else map)(_reproduce_job, configs):
-                outcomes.append(outcome)
-                _print_progress(jobs, len(outcomes))
-        except concurrent.futures.BrokenExecutor:  # a worker process died
-            outcomes += ["failed: worker died"] * (len(jobs) - len(outcomes))
-
-    # one runs.csv row per run and series; one table.csv row per cell and series
-    runs_rows, table_rows = [], []
-    for cell, runs in itertools.groupby(zip(jobs, outcomes),
-                                        key=lambda run: run[0][0]):
-        reports, failed = [], []
-        for (_, config), outcome in runs:
-            label = [cell, config.model, _fmt(config.conditional),
-                     _fmt(config.multitask), config.sampling, config.scenario,
-                     config.seed]
-            if isinstance(outcome, EvalReport):
-                reports.append(outcome)
-                runs_rows += [label + [series, _fmt(value),
-                                       _fmt(outcome.rmse_raw[series]),
-                                       _fmt(outcome.wall_seconds), "ok"]
-                              for series, value in outcome.rmse_scaled.items()]
-            else:
-                failed += _run_series(config)
-                runs_rows += [label + [series, "", "", "", outcome]
-                              for series in _run_series(config)]
-        summary = aggregate_reports(reports, failed)
-        for series in SERIES_NAMES:
-            mean, std, n_seeds, status = summary[series]
-            table_rows.append([cell, series, _fmt(mean), _fmt(std), n_seeds,
-                               status])
-    write_csv_atomic(os.path.join(out_dir, "runs.csv"), RUNS_COLUMNS, runs_rows)
+    rows_by_job = [[] for _ in jobs]  # runs.csv's rows of each finished run
+    finished = _finished_runs([config for _, config in jobs], workers)
+    for done, (i, outcome) in enumerate(finished, 1):
+        cell, config = jobs[i]
+        rows_by_job[i] = _run_rows(cell, config, outcome)
+        print(f"[{done}/{len(jobs)}] {cell} seed={config.seed} "
+              f"series={','.join(_run_series(config))} done")
+        # every run finished so far, in job order: an interrupt keeps them
+        runs_rows = list(itertools.chain(*rows_by_job))
+        write_csv_atomic(os.path.join(out_dir, "runs.csv"), RUNS_COLUMNS, runs_rows)
     write_csv_atomic(os.path.join(out_dir, "table.csv"), TABLE_COLUMNS,
-                     table_rows)
-    write_meta(os.path.join(out_dir, "run_meta.txt"), {
-        "command": "reproduce",
-        "seeds": args.seeds,
-        "workers": workers,
-    })
+                     _table_rows(runs_rows))
+    write_meta(os.path.join(out_dir, "run_meta.txt"),
+               {"command": "reproduce", "seeds": args.seeds, "workers": workers})
     elapsed = time.perf_counter() - started
     print(f"wrote {len(runs_rows)} run rows to {out_dir} "
           f"({elapsed / 60:.1f} min)")
-    n_failed = sum(not isinstance(outcome, EvalReport) for outcome in outcomes)
+    n_failed = sum(rows[0][-1] != "ok" for rows in rows_by_job)
     if n_failed:
-        print(f"{n_failed} of {len(outcomes)} runs failed; see runs.csv",
-              file=sys.stderr)
+        print(f"{n_failed} of {len(jobs)} runs failed; see runs.csv", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -531,6 +541,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # the run asked for more than the machine has
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyError as exc:
         print(f"error: unknown name {exc}", file=sys.stderr)

@@ -63,6 +63,7 @@ SCENARIOS: dict[str, Scenario] = {
 
 DEFAULT_EPOCHS = {"wavenet": 100, "lstm": 30, "ffn": 100}
 DEFAULT_WINDOW = {"wavenet": 16, "lstm": 16, "ffn": 5}
+EQUAL_TASK_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class TrainConfig:
     conditional: bool = False
     multitask: bool = False
     target: str = "x"
-    task_weights: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
+    task_weights: tuple[float, ...] = EQUAL_TASK_WEIGHTS
     scenario: str = "A"
     seed: int = 1234
     epochs: int | None = None        # None -> per-model default
@@ -106,6 +107,8 @@ class TrainConfig:
             raise ValueError("l2_lambda must be finite and >= 0")
         if not all(map(math.isfinite, self.task_weights)):
             raise ValueError("task weights must be finite")
+        if not self.multitask and self.task_weights != EQUAL_TASK_WEIGHTS:
+            raise ValueError("task_weights apply to the multitask model only")
         if self.resolved_window < 1:
             raise ValueError("window must be >= 1")
         if self.model == "wavenet" and self.resolved_window < model_zoo.RECEPTIVE_FIELD:
@@ -447,24 +450,3 @@ def train_and_evaluate(config: TrainConfig) -> tuple[TrainResult, EvalReport]:
                       wall_seconds=result.train_seconds)
     return result, report
 
-
-def aggregate_reports(reports: list[EvalReport], failed=()):
-    """Per-series (mean, std, n_ok, status) of scaled RMSE over seeds.
-
-    `failed` names the series of each failed run, once per run. mean needs
-    one successful run and std two, else they are None. status is "ok"
-    when every run of the series succeeded, "partial" when some did and
-    "failed" when none did.
-    """
-    by_series: dict[str, list[float]] = {series: [] for series in failed}
-    for report in reports:
-        for series, value in report.rmse_scaled.items():
-            by_series.setdefault(series, []).append(value)
-    out = {}
-    for series, values in by_series.items():
-        mean = float(np.mean(values)) if values else None
-        std = float(np.std(values, ddof=1)) if len(values) >= 2 else None
-        status = ("failed" if not values else
-                  "partial" if series in failed else "ok")
-        out[series] = (mean, std, len(values), status)
-    return out

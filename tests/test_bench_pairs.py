@@ -57,13 +57,25 @@ def test_summary_medians_iqr_and_wins():
     summary = bench_pairs.summarize(_runs("w", parent, change, failed=(1, 2)), BETTER)
     op = summary["w"]["op_s"]
     assert op == {"parent_median": 3.5, "change_median": 2.75,
-                  "parent_iqr": 1.5, "change_better_pairs": 3,
+                  "parent_best": 2.0, "change_best": 2.0, "parent_iqr": 1.5, "change_better_pairs": 3,
                   "change_beats_every_parent_run": False, "pairs": 4}
     rate = summary["w"]["train_examples_per_s"]
     assert rate["parent_median"] == 105.0 and rate["change_median"] == 95.0
     assert rate["change_better_pairs"] == 1
     assert summary["w"]["failed_ops"] == {"parent": 1, "change": 2}
     assert summary["w"]["incorrect_runs"] == {"parent": 1, "change": 1}
+
+
+def test_best_run_is_the_minimum_or_the_maximum_by_direction():
+    parent = [(4.0, 100.0), (3.0, 110.0), (5.0, 90.0)]
+    change = [(3.5, 95.0), (2.5, 130.0), (6.0, 80.0)]
+    summary = bench_pairs.summarize(_runs("w", parent, change), BETTER)["w"]
+    # op_s is lower-is-better: the best run is the fastest
+    assert (summary["op_s"]["parent_best"], summary["op_s"]["change_best"]) == (3.0, 2.5)
+    # the rate is higher-is-better: the best run is the largest
+    rate = summary["train_examples_per_s"]
+    assert (rate["parent_best"], rate["change_best"]) == (110.0, 130.0)
+    assert (rate["parent_median"], rate["change_median"]) == (100.0, 95.0)
 
 
 def test_summary_counts_a_failed_harness_check_as_an_incorrect_run():

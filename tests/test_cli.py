@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -304,6 +306,7 @@ def test_outputs_follow_the_umask(tmp_path):
     ["--model", "ffn", "--scenario", "Q"],
     ["--model", "wavenet", "--conditional", "--multitask",
      "--task-weights", "0.5,0.5"],
+    ["--model", "lstm", "--task-weights", "5,6", "--epochs", "1"],
 ], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
         "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
         "ffn-dropout-neg", "epochs-0", "epochs-neg", "wavenet-stack-channels-0",
@@ -312,7 +315,8 @@ def test_outputs_follow_the_umask(tmp_path):
         "wavenet-l2-lambda-inf", "lstm-l2-lambda-inf", "ffn-l2-lambda-nan",
         "lstm-stack-channels", "ffn-stack-channels", "lstm-window-huge",
         "lstm-window-1502", "model-unknown", "seed-not-a-number",
-        "epochs-not-an-int", "scenario-unknown", "task-weights-two"])
+        "epochs-not-an-int", "scenario-unknown", "task-weights-two",
+        "lstm-task-weights"])
 def test_train_rejects_bad_values_with_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert cli.main(["train", "--out", str(out), *args]) == cli.EXIT_USAGE
@@ -376,6 +380,19 @@ def test_eval_bad_checkpoint_usage_error(tmp_path, capsys, corrupt):
     _assert_one_line_error(capsys)
 
 
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_memory(config):  # what numpy raises for a stack far too wide
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with "
+                          "shape (2000001000000,) and data type float64")
+
+    monkeypatch.setattr(train_eval, "build_model", no_memory)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--model", "wavenet", "--stack-channels", "1000000",
+                     "--epochs", "1", "--out", str(out)]) == cli.EXIT_USAGE
+    _assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_eval_missing_run_dir_io_error(tmp_path):
     assert cli.main(["eval", "--run", str(tmp_path / "nope")]) == 3
 
@@ -419,20 +436,23 @@ def test_grad_check_corrupted_backward_fails(monkeypatch):
 # reproduce
 
 
+_FFN_GRID = {"ffn-A": (dict(model="ffn", epochs=1, scenario="A"), ("x", "y", "z")),
+             "ffn-B": (dict(model="ffn", epochs=1, scenario="B"), ("x", "y", "z"))}
+
+
 def _reproduce(tmp_path, monkeypatch, fail, workers=1, die=frozenset()):
     """Run reproduce over two 1-epoch ffn cells at seeds 1 and 2; train
     raises NonFinite for the (scenario, seed, target) runs in `fail`, and
-    the worker process running one of `die` exits on the spot. Worker
-    processes see the planted failures only when forked."""
-    grid = {"ffn-A": (dict(model="ffn", epochs=1, scenario="A"), ("x", "y", "z")),
-            "ffn-B": (dict(model="ffn", epochs=1, scenario="B"), ("x", "y", "z"))}
-    monkeypatch.setattr(train_eval, "RESULTS_GRID", grid)
+    the worker process running one of `die` sleeps 1 s and then exits.
+    Worker processes see the planted failures only when forked."""
+    monkeypatch.setattr(train_eval, "RESULTS_GRID", _FFN_GRID)
     real_train = train_eval.train
     main_pid = os.getpid()
 
     def flaky_train(config):
         run = (config.scenario, config.seed, config.target)
         if run in die and os.getpid() != main_pid:
+            time.sleep(1)  # the runs after it in job order finish first
             os._exit(9)
         if run in fail:
             raise NonFinite("planted divergence")
@@ -469,20 +489,18 @@ def test_reproduce_marks_a_failed_run_on_its_series_only(tmp_path, monkeypatch,
     assert status.pop(("ffn-A", "z")) == "partial"
     assert set(status.values()) == {"ok"}
 
-    # every table value is the aggregator's over the runs that succeeded
-    for cell in ("ffn-A", "ffn-B"):
-        reports = [train_eval.train_and_evaluate(
-                       train_eval.cell_config(cell, seed, target))[1]
-                   for seed in (1, 2) for target in ("x", "y", "z")
-                   if (cell, seed, target) != ("ffn-A", 2, "z")]
-        summary = train_eval.aggregate_reports(
-            reports, ["z"] if cell == "ffn-A" else [])
-        for row in table[1:]:
-            if row[0] == cell:
-                mean, std, n_ok, status = summary[row[1]]
-                assert float(row[2]) == mean
-                assert (float(row[3]) if row[3] else None) == std
-                assert (int(row[4]), row[5]) == (n_ok, status)
+    # every table value is numpy's over the in-process reports of the runs
+    # that succeeded: a mean and ddof=1 std over two seeds, no std over one
+    for cell, series, mean, std, n_seeds, status in table[1:]:
+        values = [train_eval.train_and_evaluate(
+                      train_eval.cell_config(cell, seed, series))[1].rmse_scaled[series]
+                  for seed in (1, 2) if (cell, seed, series) != ("ffn-A", 2, "z")]
+        assert float(mean) == np.mean(values)
+        if len(values) == 2:
+            assert float(std) == np.std(values, ddof=1)
+            assert (n_seeds, status) == ("2", "ok")
+        else:
+            assert (std, n_seeds, status) == ("", "1", "partial")
 
 
 def test_reproduce_all_runs_of_a_series_failed(tmp_path, monkeypatch):
@@ -519,33 +537,72 @@ def test_reproduce_marks_the_runs_of_a_dead_worker(tmp_path, monkeypatch, capsys
     status = [row[-1] for row in runs[1:]]
     died = status.count("failed: worker died")
     assert err == f"{died} of 12 runs failed; see runs.csv\n"
-    # map yields in job order: the finished runs come first, then every run
-    # the broken pool left without an outcome, the dead one among them
-    assert status == ["ok"] * (12 - died) + ["failed: worker died"] * died
-    # the dead run is the 7th of 12, so it and every later run are marked
-    assert runs[7][:8] == ["ffn-B", "ffn", "false", "false", "shuffled", "B",
-                           "1", "x"]
-    assert died >= 6
+    # the dead run is the 7th of 12; a run the broken pool left without an
+    # outcome is marked too
+    assert runs[7] == ["ffn-B", "ffn", "false", "false", "shuffled", "B", "1",
+                       "x", "", "", "", "failed: worker died"]
+    assert set(status) <= {"ok", "failed: worker died"}
     assert len(table) == 1 + 6
     assert (tmp_path / "repro-2" / "run_meta.txt").exists()
 
 
+def test_reproduce_keeps_the_runs_that_finish_after_a_dead_one(tmp_path, monkeypatch,
+                                                              capsys):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the planted exit reaches worker processes only when forked")
+    # the first run's worker sleeps 1 s before it exits, while the other
+    # worker runs the 11 later runs
+    runs, table = _reproduce(tmp_path, monkeypatch, fail={("B", 2, "y")},
+                             workers=2, die={("A", 1, "x")})
+    out, err = capsys.readouterr()
+    status = [row[-1] for row in runs[1:]]
+    assert status == ["failed: worker died"] + ["ok"] * 9 + [
+        "failed: planted divergence", "ok"]
+    assert err == "2 of 12 runs failed; see runs.csv\n"
+    assert out.count(" done\n") == 12
+    assert out.splitlines()[-2].startswith("[12/12] ffn-A seed=1 series=x ")
+    assert [row for row in table[1:] if row[5] != "ok"] == [
+        ["ffn-A", "x", runs[4][8], "", "1", "partial"],
+        ["ffn-B", "y", runs[8][8], "", "1", "partial"]]
+
+
+def test_reproduce_interrupted_keeps_the_finished_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(train_eval, "RESULTS_GRID", _FFN_GRID)
+    real_train, calls = train_eval.train, []
+
+    def interrupted_train(config):
+        calls.append(config)
+        if len(calls) == 4:
+            raise KeyboardInterrupt
+        return real_train(config)
+
+    monkeypatch.setattr(train_eval, "train", interrupted_train)
+    out = tmp_path / "repro"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["reproduce", "--seeds", "1,2", "--workers", "1",
+                  "--out", str(out)])
+    runs = _read_csv(out / "runs.csv")
+    assert runs[0] == cli.RUNS_COLUMNS
+    assert [row[5:8] + row[-1:] for row in runs[1:]] == [
+        ["A", "1", series, "ok"] for series in ("x", "y", "z")]
+    assert not (out / "table.csv").exists()
+
+
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
 
     sizes: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 @pytest.mark.parametrize("workers, expected", [(2, [2]), (64, [3]), (1, [])])
@@ -620,13 +677,14 @@ def _train_configs(draw):
     conditional = model != "ffn" and draw(st.booleans())
     multitask = model == "wavenet" and conditional and draw(st.booleans())
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
+    weights = tuple(w / sum(raw) for w in raw)  # read by the multitask model only
     windows = {"wavenet": st.integers(16, 40), "lstm": st.integers(1, 40),
                "ffn": st.just(5)}
     n_train = draw(st.integers(1, 1500))
     return TrainConfig(
         model=model, conditional=conditional, multitask=multitask,
         target=draw(st.sampled_from(["x", "y", "z"])),
-        task_weights=tuple(w / sum(raw) for w in raw),
+        task_weights=weights if multitask else train_eval.EQUAL_TASK_WEIGHTS,
         scenario=draw(st.sampled_from(["A", "B"])),
         seed=draw(st.integers(0, 2 ** 32 - 1)),
         epochs=draw(st.none() | st.integers(0, 500)),

@@ -12,7 +12,6 @@ from lorenzcast.train_eval import (
     SCENARIOS,
     TrainConfig,
     WeightMismatch,
-    aggregate_reports,
     build_model,
     cell_config,
     evaluate,
@@ -237,6 +236,9 @@ def test_config_validation():
     for model in ("lstm", "ffn"):  # no stack to widen
         with pytest.raises(ValueError, match="stack_channels"):
             TrainConfig(model=model, stack_channels=1)
+    for model in ("wavenet", "lstm", "ffn"):  # one loss, nothing to weigh
+        with pytest.raises(ValueError, match="task_weights"):
+            TrainConfig(model=model, task_weights=(0.2, 0.2, 0.6))
     for model in ("wavenet", "lstm", "ffn"):
         for bad in (dict(window=0), dict(window=-2), dict(l2_lambda=-1e-3),
                     dict(seed=-1)):
@@ -329,28 +331,6 @@ def test_evaluate_zero_model_matches_target_rms():
     report = evaluate(_ZeroModel(1), test_ds, config, scale=scaled.scale)
     expected = float(np.sqrt(np.mean(test_ds.targets[:, 0] ** 2)))
     assert abs(report.rmse_scaled["x"] - expected) < 1e-15
-
-
-def test_aggregate_reports_mean_std():
-    reports = []
-    for seed in (1234, 1235, 42):
-        _, report = train_and_evaluate(
-            TrainConfig(model="ffn", epochs=1, seed=seed))
-        reports.append(report)
-    agg = aggregate_reports(reports)
-    values = [r.rmse_scaled["x"] for r in reports]
-    mean, std, n_ok, status = agg["x"]
-    assert abs(mean - np.mean(values)) < 1e-15
-    assert abs(std - np.std(values, ddof=1)) < 1e-15
-    assert (n_ok, status) == (3, "ok")
-    single = aggregate_reports(reports[:1])
-    assert single["x"][1] is None  # std needs >= 2 seeds
-    # a failed run makes its series partial, or failed when no run succeeded
-    assert aggregate_reports(reports[:2], failed=["x"])["x"] == (
-        float(np.mean(values[:2])), float(np.std(values[:2], ddof=1)), 2,
-        "partial")
-    assert aggregate_reports([], failed=["x", "x"]) == {
-        "x": (None, None, 0, "failed")}
 
 
 def test_results_grid_pins_the_tuned_multitask_cell():

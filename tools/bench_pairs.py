@@ -12,9 +12,11 @@ pairs the change first, and each pair starts its workloads one further
 along the list, so neither side nor workload always runs first.
 
 It writes BENCH_<label>.json in the current directory: for each workload and
-end-to-end metric of BENCHMARK.json, the medians of both sides, the
-parent's interquartile range and the number of pairs the change won, plus
-the failed operations, the runs whose result is not correct (a failed
+end-to-end metric of BENCHMARK.json, the medians and best runs of both
+sides (the best run is the minimum of a lower-is-better metric and the
+maximum of a higher-is-better one, the run least disturbed by other load on
+the host), the parent's interquartile range and the number of pairs the
+change won, plus the failed operations, the runs whose result is not correct (a failed
 operation or a failed harness check) and every raw result. With --claim it
 also states whether the claimed metric improved by the rule used to accept
 a claim: the change is better in at least 9 of 10 pairs, its median beats
@@ -78,8 +80,8 @@ def iqr(values: list[float]) -> float:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: both medians, the parent's IQR, the pairs
-    the change won (a tie is not a win) and whether every run of the change
+    """Per workload and metric: both medians, both best runs, the parent's
+    IQR, the pairs the change won (a tie is not a win) and whether every run of the change
     beats every run of the parent; plus, per side, the failed operations and
     the runs whose result is not correct.
 
@@ -96,9 +98,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             values = {side: [sides[side]["metrics"][metric]["value"] for sides in paired]
                       for side in SIDES}
             sign = 1.0 if direction == "lower" else -1.0
+            best = min if direction == "lower" else max
             entry[metric] = {
                 "parent_median": statistics.median(values["parent"]),
                 "change_median": statistics.median(values["change"]),
+                "parent_best": best(values["parent"]),
+                "change_best": best(values["change"]),
                 "parent_iqr": iqr(values["parent"]),
                 "change_better_pairs": sum(sign * (p - c) > 0 for p, c in
                                            zip(values["parent"], values["change"])),
@@ -215,6 +220,12 @@ def main(argv=None) -> int:
     if args.claim:
         workload, metric = args.claim.split(":")
         claim = judge_claim(summary, workload, metric, better[metric])
+    for workload, entry in summary.items():
+        for metric in better:
+            stats = entry[metric]
+            print(f"{workload} {metric}: median {stats['parent_median']:.4g} -> "
+                  f"{stats['change_median']:.4g}, best {stats['parent_best']:.4g} -> "
+                  f"{stats['change_best']:.4g}")
     regressions = judge_regressions(summary, better, bounds)
     for workload, verdict in regressions["workloads"].items():
         for metric, stats in verdict["metrics"].items():
