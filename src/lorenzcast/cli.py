@@ -48,8 +48,9 @@ OUT_DIR_ENV = "LORENZCAST_OUT"
 
 REPORT_COLUMNS = ["model", "conditional", "multitask", "scenario", "seed",
                   "series", "rmse_scaled", "rmse_raw", "wall_seconds"]
-
-GRAD_CHECK_THRESHOLDS = {"ffn": 1e-5, "wavenet": 1e-5, "lstm": 1e-4}
+RUNS_COLUMNS = ["cell", "model", "conditional", "multitask", "sampling",
+                "scenario", "seed", "series", "rmse_scaled", "rmse_raw",
+                "wall_seconds", "status"]
 
 
 class UsageError(ValueError):
@@ -195,9 +196,29 @@ def _scenario_record(scenario) -> dict:
             "init_z": init.z}
 
 
-def _write_report(path: str, report: EvalReport) -> None:
-    rows = [[_fmt(row[c]) for c in REPORT_COLUMNS] for row in report.rows()]
-    write_csv_atomic(path, REPORT_COLUMNS, rows)
+def _run_series(config: TrainConfig) -> tuple[str, ...]:
+    """The series one run forecasts: all three for the multitask model."""
+    return SERIES_NAMES if config.multitask else (config.target,)
+
+
+def _run_rows(config: TrainConfig, outcome) -> list[dict[str, str]]:
+    """The result rows of one run, one per series it forecasts, as text
+    keyed by RUNS_COLUMNS but "cell". `outcome` is the run's EvalReport, or
+    the failure that leaves its RMSEs and wall time empty."""
+    label = {name: _fmt(getattr(config, name)) for name in RUNS_COLUMNS
+             if name in _CONFIG_FIELDS}  # model, conditional, ..., seed
+    ok = isinstance(outcome, EvalReport)
+    return [{**label, "series": series,
+             "rmse_scaled": _fmt(outcome.rmse_scaled[series]) if ok else "",
+             "rmse_raw": _fmt(outcome.rmse_raw[series]) if ok else "",
+             "wall_seconds": _fmt(outcome.wall_seconds) if ok else "",
+             "status": "ok" if ok else outcome}
+            for series in _run_series(config)]
+
+
+def _write_report(path: str, config: TrainConfig, report: EvalReport) -> None:
+    write_csv_atomic(path, REPORT_COLUMNS, [[row[c] for c in REPORT_COLUMNS]
+                                            for row in _run_rows(config, report)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +268,7 @@ def _write_run_outputs(out_dir: str, config: TrainConfig, result,
         **_scenario_record(SCENARIOS[config.scenario]),
     }
     write_meta(os.path.join(out_dir, "run_meta.txt"), record, comments)
-    _write_report(os.path.join(out_dir, "report.csv"), report)
+    _write_report(os.path.join(out_dir, "report.csv"), config, report)
     _write_predictions(out_dir, config, result)
     write_csv_atomic(
         os.path.join(out_dir, "loss_history.csv"), ["epoch", "train_loss"],
@@ -285,9 +306,9 @@ def cmd_train(args) -> int:
     )
     result, report = train_and_evaluate(config)
     _write_run_outputs(out_dir, config, result, report)
-    for row in report.rows():
-        print(f"{row['model']} scenario={row['scenario']} series={row['series']} "
-              f"rmse_scaled={row['rmse_scaled']:.6g} rmse_raw={row['rmse_raw']:.6g}")
+    for series, value in report.rmse_scaled.items():
+        print(f"{config.model} scenario={config.scenario} series={series} "
+              f"rmse_scaled={value:.6g} rmse_raw={report.rmse_raw[series]:.6g}")
     print(f"outputs in {out_dir}")
     return EXIT_OK
 
@@ -304,7 +325,7 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad checkpoint {ckpt_path}: {exc}") from None
     report = evaluate(model, test_ds, config, scale=scaled.scale)
-    _write_report(os.path.join(args.out or run_dir, "eval_report.csv"), report)
+    _write_report(os.path.join(args.out or run_dir, "eval_report.csv"), config, report)
     for series, value in report.rmse_scaled.items():
         print(f"{config.model} series={series} rmse_scaled={value:.6g}")
     return EXIT_OK
@@ -314,23 +335,22 @@ def cmd_eval(args) -> int:
 # grad-check
 
 
-# case -> the model it checks; the stacks run single-channel
-_GRAD_CHECK_CONFIGS = {
-    "ffn": TrainConfig(model="ffn"),
-    "wavenet-unconditional": TrainConfig(model="wavenet", stack_channels=1),
-    "wavenet-conditional": TrainConfig(model="wavenet", conditional=True,
-                                       stack_channels=1),
-    "wavenet-multitask": TrainConfig(model="wavenet", conditional=True,
-                                     multitask=True, stack_channels=1),
-    "lstm": TrainConfig(model="lstm"),
+# case -> (model checked, error threshold); the stacks run single-channel
+GRAD_CHECK_CASES = {
+    "ffn": (TrainConfig(model="ffn"), 1e-5),
+    "wavenet-unconditional": (TrainConfig(model="wavenet", stack_channels=1), 1e-5),
+    "wavenet-conditional": (TrainConfig(model="wavenet", conditional=True,
+                                        stack_channels=1), 1e-5),
+    "wavenet-multitask": (TrainConfig(model="wavenet", conditional=True,
+                                      multitask=True, stack_channels=1), 1e-5),
+    "lstm": (TrainConfig(model="lstm"), 1e-4),
 }
-GRAD_CHECK_CASES = list(_GRAD_CHECK_CONFIGS)
 GRAD_CHECK_BATCH = 3
 
 
 def _grad_check_case(name: str, seed: int):
     """Fresh random model + data, returns (max relative error, n_params)."""
-    config = _GRAD_CHECK_CONFIGS[name]
+    config, _ = GRAD_CHECK_CASES[name]
     model = build_model(config)
     channels = 3 if config.conditional else 1
     window = config.resolved_window
@@ -365,8 +385,7 @@ def cmd_grad_check(args) -> int:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     all_ok = True
     print(f"{'case':24s} {'params':>7s} {'max rel err':>12s} {'threshold':>10s}  result")
-    for case in GRAD_CHECK_CASES:
-        threshold = GRAD_CHECK_THRESHOLDS[_GRAD_CHECK_CONFIGS[case].model]
+    for case, (_, threshold) in GRAD_CHECK_CASES.items():
         error, n_params = _grad_check_case(case, args.seed)
         ok = error < threshold
         all_ok &= ok
@@ -379,9 +398,6 @@ def cmd_grad_check(args) -> int:
 # reproduce
 
 
-RUNS_COLUMNS = ["cell", "model", "conditional", "multitask", "sampling",
-                "scenario", "seed", "series", "rmse_scaled", "rmse_raw",
-                "wall_seconds", "status"]
 TABLE_COLUMNS = ["cell", "series", "rmse_mean", "rmse_std", "n_seeds", "status"]
 
 
@@ -391,11 +407,6 @@ def _reproduce_job(config: TrainConfig):
         return train_and_evaluate(config)[1]
     except Exception as exc:  # failed runs are marked, not fatal
         return f"failed: {exc}"
-
-
-def _run_series(config: TrainConfig) -> tuple[str, ...]:
-    """The series one run forecasts: all three for the multitask model."""
-    return SERIES_NAMES if config.multitask else (config.target,)
 
 
 def _finished_runs(configs, workers: int):
@@ -416,24 +427,11 @@ def _finished_runs(configs, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _run_rows(cell: str, config: TrainConfig, outcome) -> list[list]:
-    """runs.csv's rows of one finished run, one per series it forecasts."""
-    label = [cell, config.model, _fmt(config.conditional), _fmt(config.multitask),
-             config.sampling, config.scenario, config.seed]
-    if isinstance(outcome, EvalReport):
-        return [label + [series, _fmt(value), _fmt(outcome.rmse_raw[series]),
-                         _fmt(outcome.wall_seconds), "ok"]
-                for series, value in outcome.rmse_scaled.items()]
-    return [label + [series, "", "", "", outcome]
-            for series in _run_series(config)]
-
-
-def _table_rows(runs_rows) -> list[list]:
+def _table_rows(rows) -> list[list]:
     """table.csv's rows from runs.csv's, one per cell and series: the mean
     (needs one) and ddof=1 std (needs two) of its ok runs' scaled RMSE,
     their number, and "ok" when every run is ok, "partial" when some are
     and "failed" when none are."""
-    rows = [dict(zip(RUNS_COLUMNS, row)) for row in runs_rows]
     table = []
     for cell, series in itertools.product(dict.fromkeys(row["cell"] for row in rows),
                                           SERIES_NAMES):
@@ -468,12 +466,13 @@ def cmd_reproduce(args) -> int:
     finished = _finished_runs([config for _, config in jobs], workers)
     for done, (i, outcome) in enumerate(finished, 1):
         cell, config = jobs[i]
-        rows_by_job[i] = _run_rows(cell, config, outcome)
+        rows_by_job[i] = [{"cell": cell, **row} for row in _run_rows(config, outcome)]
         print(f"[{done}/{len(jobs)}] {cell} seed={config.seed} "
               f"series={','.join(_run_series(config))} done")
         # every run finished so far, in job order: an interrupt keeps them
         runs_rows = list(itertools.chain(*rows_by_job))
-        write_csv_atomic(os.path.join(out_dir, "runs.csv"), RUNS_COLUMNS, runs_rows)
+        write_csv_atomic(os.path.join(out_dir, "runs.csv"), RUNS_COLUMNS,
+                         [[row[c] for c in RUNS_COLUMNS] for row in runs_rows])
     write_csv_atomic(os.path.join(out_dir, "table.csv"), TABLE_COLUMNS,
                      _table_rows(runs_rows))
     write_meta(os.path.join(out_dir, "run_meta.txt"),
@@ -481,7 +480,7 @@ def cmd_reproduce(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"wrote {len(runs_rows)} run rows to {out_dir} "
           f"({elapsed / 60:.1f} min)")
-    n_failed = sum(rows[0][-1] != "ok" for rows in rows_by_job)
+    n_failed = sum(rows[0]["status"] != "ok" for rows in rows_by_job)
     if n_failed:
         print(f"{n_failed} of {len(jobs)} runs failed; see runs.csv", file=sys.stderr)
         return EXIT_NUMERIC
@@ -544,9 +543,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MemoryError as exc:  # the run asked for more than the machine has
         print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
-        print(f"error: unknown name {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonFinite, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

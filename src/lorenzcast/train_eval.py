@@ -398,23 +398,6 @@ class EvalReport:
     rmse_raw: dict[str, float]
     wall_seconds: float
 
-    def rows(self):
-        """Report rows matching the CSV schema (one per series)."""
-        out = []
-        for series in self.rmse_scaled:
-            out.append({
-                "model": self.config.model,
-                "conditional": self.config.conditional,
-                "multitask": self.config.multitask,
-                "scenario": self.config.scenario,
-                "seed": self.config.seed,
-                "series": series,
-                "rmse_scaled": self.rmse_scaled[series],
-                "rmse_raw": self.rmse_raw[series],
-                "wall_seconds": self.wall_seconds,
-            })
-        return out
-
 
 def predict_dataset(model, dataset: WindowedDataset) -> np.ndarray:
     """One-step-ahead predictions for every example, one example per

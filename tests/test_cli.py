@@ -402,7 +402,9 @@ def test_eval_missing_run_dir_io_error(tmp_path):
 
 
 def test_grad_check_single_case_passes(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "GRAD_CHECK_CASES", ["ffn", "wavenet-conditional"])
+    monkeypatch.setattr(cli, "GRAD_CHECK_CASES",
+                        {case: cli.GRAD_CHECK_CASES[case]
+                         for case in ("ffn", "wavenet-conditional")})
     assert cli.main(["grad-check"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2 and "FAIL" not in out
@@ -427,7 +429,7 @@ def test_grad_check_corrupted_backward_fails(monkeypatch):
         params.out.grads["weights"] += 1e-3  # deliberately wrong
         return out
 
-    monkeypatch.setattr(cli, "GRAD_CHECK_CASES", ["ffn"])
+    monkeypatch.setattr(cli, "GRAD_CHECK_CASES", {"ffn": cli.GRAD_CHECK_CASES["ffn"]})
     monkeypatch.setattr(mz, "ffn_backward", corrupted)
     assert cli.main(["grad-check"]) == cli.EXIT_NUMERIC
 
@@ -501,6 +503,27 @@ def test_reproduce_marks_a_failed_run_on_its_series_only(tmp_path, monkeypatch,
             assert (n_seeds, status) == ("2", "ok")
         else:
             assert (std, n_seeds, status) == ("", "1", "partial")
+
+
+def test_report_row_equals_the_runs_row_of_its_run(tmp_path, monkeypatch):
+    # train's report.csv and reproduce's runs.csv hold the same result row
+    # for the same run, apart from its wall time
+    assert cli.main(["train", "--model", "ffn", "--epochs", "1", "--seed", "1",
+                     "--out", str(tmp_path / "train")]) == cli.EXIT_OK
+    monkeypatch.setattr(train_eval, "RESULTS_GRID", _FFN_GRID)
+    assert cli.main(["reproduce", "--seeds", "1", "--workers", "1",
+                     "--out", str(tmp_path / "repro")]) == cli.EXIT_OK
+    header, row = _read_csv(tmp_path / "train" / "report.csv")
+    assert header == ["model", "conditional", "multitask", "scenario", "seed",
+                      "series", "rmse_scaled", "rmse_raw", "wall_seconds"]
+    report = dict(zip(header, row))
+    runs_header, *runs = _read_csv(tmp_path / "repro" / "runs.csv")
+    (run,) = [dict(zip(runs_header, r)) for r in runs
+              if (r[0], r[runs_header.index("series")]) == ("ffn-A", "x")]
+    shared = header[:-1]  # all but wall_seconds
+    assert [report[c] for c in shared] == [run[c] for c in shared]
+    assert report["model"] == "ffn" and report["series"] == "x"
+    assert float(report["rmse_scaled"]) >= 0.0
 
 
 def test_reproduce_all_runs_of_a_series_failed(tmp_path, monkeypatch):
