@@ -62,7 +62,9 @@ SCENARIOS: dict[str, Scenario] = {
 # configuration
 
 DEFAULT_EPOCHS = {"wavenet": 100, "lstm": 30, "ffn": 100}
-DEFAULT_WINDOW = {"wavenet": 16, "lstm": 16, "ffn": 5}
+# the wavenet and ffn windows are fixed; only the lstm's is free
+DEFAULT_WINDOW = {"wavenet": model_zoo.RECEPTIVE_FIELD, "lstm": 16,
+                  "ffn": model_zoo.FfnParams.WINDOW}
 EQUAL_TASK_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 
 
@@ -105,15 +107,20 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not 0 <= self.l2_lambda < math.inf:
             raise ValueError("l2_lambda must be finite and >= 0")
+        if self.epochs is not None and self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.model != "lstm" and self.dropout != TrainConfig.dropout:
+            raise ValueError("dropout applies to the lstm only")
+        if self.model != "wavenet" and self.l2_lambda != TrainConfig.l2_lambda:
+            raise ValueError("l2_lambda applies to the wavenet's conv kernels only")
         if not all(map(math.isfinite, self.task_weights)):
             raise ValueError("task weights must be finite")
         if not self.multitask and self.task_weights != EQUAL_TASK_WEIGHTS:
             raise ValueError("task_weights apply to the multitask model only")
         if self.resolved_window < 1:
             raise ValueError("window must be >= 1")
-        if self.model == "wavenet" and self.resolved_window < model_zoo.RECEPTIVE_FIELD:
-            raise ValueError(f"wavenet window must be >= its receptive field "
-                             f"{model_zoo.RECEPTIVE_FIELD}")
+        if self.model != "lstm" and self.resolved_window != DEFAULT_WINDOW[self.model]:
+            raise ValueError(f"{self.model} window must be {DEFAULT_WINDOW[self.model]}")
         if self.stack_channels is not None:
             if self.model != "wavenet":
                 raise ValueError("stack_channels sets the wavenet stack's width")
@@ -128,8 +135,6 @@ class TrainConfig:
         if self.resolved_window > n_points:  # a longer one reads only padding
             raise ValueError(f"window must be <= the {n_points} points "
                              f"scenario {self.scenario} generates")
-        if self.model == "ffn" and self.resolved_window != model_zoo.FfnParams.WINDOW:
-            raise ValueError(f"ffn window must be {model_zoo.FfnParams.WINDOW}")
         if self.multitask:
             if self.model != "wavenet":
                 raise ValueError("multitask heads are a wavenet variant")
@@ -327,7 +332,6 @@ def build_model(config: TrainConfig):
 @dataclass
 class TrainResult:
     model: object
-    config: TrainConfig
     loss_history: list[float]
     train_seconds: float
     test_ds: WindowedDataset = field(repr=False)
@@ -382,8 +386,7 @@ def train(config: TrainConfig) -> TrainResult:
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
 
-    return TrainResult(model, config, history,
-                       round(time.perf_counter() - start, 3),
+    return TrainResult(model, history, time.perf_counter() - start,
                        test_ds, scaled.scale)
 
 
@@ -393,7 +396,6 @@ def train(config: TrainConfig) -> TrainResult:
 
 @dataclass
 class EvalReport:
-    config: TrainConfig
     rmse_scaled: dict[str, float]
     rmse_raw: dict[str, float]
     wall_seconds: float
@@ -408,9 +410,8 @@ def predict_dataset(model, dataset: WindowedDataset) -> np.ndarray:
     return preds
 
 
-def evaluate(model, test_ds: WindowedDataset, config: TrainConfig, scale: dict,
-             wall_seconds: float = 0.0) -> EvalReport:
-    """Per-series test RMSE with minibatch size one, labelled by `config`.
+def evaluate(model, test_ds: WindowedDataset, scale: dict) -> EvalReport:
+    """Per-series test RMSE with minibatch size one, and its wall time.
 
     rmse_scaled is taken in the scaled [-0.5, 0.5] space; rmse_raw in the
     original space, after mapping both sides back through the series'
@@ -423,13 +424,13 @@ def evaluate(model, test_ds: WindowedDataset, config: TrainConfig, scale: dict,
         p, t, tf = preds[:, j], test_ds.targets[:, j], scale[series]
         rmse_scaled[series] = rmse(p, t)
         rmse_raw[series] = rmse(tf.invert(p), tf.invert(t))
-    return EvalReport(config, rmse_scaled, rmse_raw,
-                      round(wall_seconds + time.perf_counter() - start, 3))
+    return EvalReport(rmse_scaled, rmse_raw, time.perf_counter() - start)
 
 
 def train_and_evaluate(config: TrainConfig) -> tuple[TrainResult, EvalReport]:
+    """Train, then evaluate; the report's wall time covers both."""
     result = train(config)
-    report = evaluate(result.model, result.test_ds, config, scale=result.scale,
-                      wall_seconds=result.train_seconds)
+    report = evaluate(result.model, result.test_ds, result.scale)
+    report.wall_seconds += result.train_seconds
     return result, report
 

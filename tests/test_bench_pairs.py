@@ -1,6 +1,7 @@
 """Argument parsing and summary arithmetic of tools/bench_pairs.py on canned
 harness results."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -208,3 +209,68 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
         bench_pairs.summarize(_runs("w", parent, tie), BETTER), BETTER,
         BOUNDS)["workloads"]["w"]["metrics"]
     assert metrics["op_s"]["unresolved"]
+
+
+def _failed_run(pair, side, workload="w"):
+    return {"pair": pair, "side": side, "workload": workload, "exit_code": 2,
+            "stderr": "Traceback ...\nBenchError: out of time"}
+
+
+def test_summary_skips_a_pair_with_a_failed_run_and_counts_it():
+    runs = _runs("w", [(4.0, 1.0), (3.0, 1.0)], [(3.0, 1.0), (2.0, 1.0)])
+    # pair 2's change run failed: pair 2 is left out
+    runs = runs[:3] + [_failed_run(2, "change")]
+    summary = bench_pairs.summarize(runs, BETTER)["w"]
+    assert summary["op_s"]["pairs"] == 1
+    assert summary["op_s"]["parent_median"] == 4.0
+    assert summary["failed_runs"] == {"parent": 0, "change": 1}
+    # a claim does not hold with more failed runs than the parent
+    summary = bench_pairs.summarize(
+        _runs("w", [(3.0, 1.0)] * 10, [(2.0, 1.0)] * 10) + [_failed_run(11, "change")],
+        BETTER)
+    assert summary["w"]["op_s"]["change_better_pairs"] == 10
+    assert not bench_pairs.judge_claim(summary, "w", "op_s", "lower")["holds"]
+
+
+def test_a_workload_with_no_whole_pair_has_no_metrics():
+    runs = _runs("w", [(4.0, 1.0)], [(3.0, 1.0)])
+    runs += [_failed_run(1, "parent", "v"), _failed_run(1, "change", "v")]
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert "op_s" not in summary["v"]
+    assert summary["v"]["failed_runs"] == {"parent": 1, "change": 1}
+    verdict = bench_pairs.judge_regressions(summary, BETTER, BOUNDS)
+    assert verdict["workloads"]["v"]["metrics"] == {}
+    assert not bench_pairs.judge_claim(summary, "v", "op_s", "lower")["holds"]
+
+
+def test_main_records_a_failed_run_and_goes_on(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "op_s", "better": "lower", "bound": 0.25},
+                       {"name": "train_examples_per_s", "better": "higher",
+                        "bound": 0.25}]}))
+    record = {"machine": {"nproc": 2, "python": "3", "numpy": "2", "cpu": "c",
+                          "blas": {"threads": 1}}}
+    calls = []
+
+    def canned(checkout, workload, seconds):
+        calls.append(checkout.name)
+        if len(calls) == 3:  # pair 2's first run fails
+            return {"exit_code": 2, "stderr": "Traceback ...\nBenchError: boom"}
+        return {"record": record, "result": _result(3.0, 1.0)}
+
+    monkeypatch.setattr(bench_pairs, "run_harness", canned)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(change), "--label", "t", "--pairs", "3"]) == 1
+    assert len(calls) == 6  # the session went on past the failure
+    out = capsys.readouterr()
+    assert "FAILED RUN pair 2 change w: exit 2: BenchError: boom" in out.out
+    assert "1 of 6 harness runs failed" in out.err
+    written = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert written["summary"]["w"]["op_s"]["pairs"] == 2
+    assert written["summary"]["w"]["failed_runs"] == {"parent": 0, "change": 1}
+    assert {"pair": 2, "side": "change", "workload": "w", "exit_code": 2,
+            "stderr": "Traceback ...\nBenchError: boom"} in written["runs"]

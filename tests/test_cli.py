@@ -2,6 +2,7 @@ import csv
 import hashlib
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -275,8 +276,13 @@ def test_outputs_follow_the_umask(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["--model", "wavenet", "--window", "4"],    # below the receptive field 16
+    ["--model", "wavenet", "--window", "4"],    # the stack reads exactly 16 steps
     ["--model", "wavenet", "--window", "15"],
+    ["--model", "wavenet", "--window", "24", "--epochs", "1"],
+    ["--model", "wavenet", "--dropout", "0.9", "--epochs", "1"],  # lstm only
+    ["--model", "ffn", "--dropout", "0.2", "--epochs", "1"],
+    ["--model", "lstm", "--l2-lambda", "7.5", "--epochs", "1"],  # wavenet only
+    ["--model", "ffn", "--l2-lambda", "0", "--epochs", "1"],
     ["--model", "ffn", "--window", "0"],        # the ffn reads exactly 5 steps
     ["--model", "ffn", "--window", "6"],
     ["--model", "lstm", "--learning-rate", "-1"],
@@ -307,8 +313,9 @@ def test_outputs_follow_the_umask(tmp_path):
     ["--model", "wavenet", "--conditional", "--multitask",
      "--task-weights", "0.5,0.5"],
     ["--model", "lstm", "--task-weights", "5,6", "--epochs", "1"],
-], ids=["wavenet-window-4", "wavenet-window-15", "ffn-window-0",
-        "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
+], ids=["wavenet-window-4", "wavenet-window-15", "wavenet-window-24",
+        "wavenet-dropout", "ffn-dropout", "lstm-l2-lambda", "ffn-l2-lambda",
+        "ffn-window-0", "ffn-window-6", "lstm-lr-neg", "ffn-lr-0", "lstm-dropout-1",
         "ffn-dropout-neg", "epochs-0", "epochs-neg", "wavenet-stack-channels-0",
         "wavenet-stack-channels-neg", "lstm-window-0", "lstm-window-neg",
         "wavenet-l2-lambda-neg", "ffn-seed-neg", "lstm-lr-inf", "ffn-lr-nan",
@@ -524,6 +531,15 @@ def test_report_row_equals_the_runs_row_of_its_run(tmp_path, monkeypatch):
     assert [report[c] for c in shared] == [run[c] for c in shared]
     assert report["model"] == "ffn" and report["series"] == "x"
     assert float(report["rmse_scaled"]) >= 0.0
+    # every file writes seconds at 3 decimals
+    assert cli.main(["eval", "--run", str(tmp_path / "train")]) == cli.EXIT_OK
+    eval_header, eval_row = _read_csv(tmp_path / "train" / "eval_report.csv")
+    (train_seconds,) = [line.split(" = ")[1] for line in
+                        (tmp_path / "train" / "run_meta.txt").read_text().splitlines()
+                        if line.startswith("# train_seconds = ")]
+    for seconds in (report["wall_seconds"], run["wall_seconds"],
+                    dict(zip(eval_header, eval_row))["wall_seconds"], train_seconds):
+        assert re.fullmatch(r"\d+\.\d{3}", seconds), seconds
 
 
 def test_reproduce_all_runs_of_a_series_failed(tmp_path, monkeypatch):
@@ -701,8 +717,7 @@ def _train_configs(draw):
     multitask = model == "wavenet" and conditional and draw(st.booleans())
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
     weights = tuple(w / sum(raw) for w in raw)  # read by the multitask model only
-    windows = {"wavenet": st.integers(16, 40), "lstm": st.integers(1, 40),
-               "ffn": st.just(5)}
+    windows = {"wavenet": st.just(16), "lstm": st.integers(1, 40), "ffn": st.just(5)}
     n_train = draw(st.integers(1, 1500))
     return TrainConfig(
         model=model, conditional=conditional, multitask=multitask,
@@ -715,8 +730,11 @@ def _train_configs(draw):
         learning_rate=draw(st.floats(1e-8, 1.0)),
         sampling=draw(st.sampled_from(["shuffled", "adjacent"])),
         window=draw(st.none() | windows[model]),
-        l2_lambda=draw(st.floats(0.0, 1.0)),
-        dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        # a setting the model never reads keeps its default
+        l2_lambda=draw(st.floats(0.0, 1.0)) if model == "wavenet"
+        else TrainConfig.l2_lambda,
+        dropout=draw(st.floats(0.0, 1.0, exclude_max=True)) if model == "lstm"
+        else TrainConfig.dropout,
         n_train=n_train,
         n_test=draw(st.integers(1, 1501 - n_train)),
         stack_channels=draw(st.none() | st.integers(1, 8))

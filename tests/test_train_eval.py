@@ -240,9 +240,23 @@ def test_config_validation():
             TrainConfig(model=model, task_weights=(0.2, 0.2, 0.6))
     for model in ("wavenet", "lstm", "ffn"):
         for bad in (dict(window=0), dict(window=-2), dict(l2_lambda=-1e-3),
-                    dict(seed=-1)):
+                    dict(seed=-1), dict(epochs=-3)):
             with pytest.raises(ValueError):
                 TrainConfig(model=model, **bad)
+    # settings the run would never read
+    for model in ("wavenet", "ffn"):  # no hidden state to drop out
+        with pytest.raises(ValueError, match="dropout"):
+            TrainConfig(model=model, dropout=0.9)
+    for model in ("lstm", "ffn"):  # no conv kernel to penalize
+        with pytest.raises(ValueError, match="l2_lambda"):
+            TrainConfig(model=model, l2_lambda=7.5)
+    for window in (15, 17, 24):  # the stack reads its 16-step receptive field
+        with pytest.raises(ValueError, match="window"):
+            TrainConfig(model="wavenet", window=window)
+    # zero epochs is an untrained model; the defaults of unread settings pass
+    TrainConfig(model="ffn", epochs=0, dropout=0.1, l2_lambda=1e-3)
+    TrainConfig(model="wavenet", window=16, l2_lambda=0.0)
+    TrainConfig(model="lstm", dropout=0.0, window=24)
 
 
 def test_conditional_wavenet_default_stack():
@@ -319,7 +333,7 @@ class _ZeroModel:
 def test_evaluate_perfect_oracle_zero_rmse():
     config = TrainConfig(model="wavenet", target="x")
     _, test_ds, scaled = prepare_data(config)
-    report = evaluate(_OracleModel(test_ds), test_ds, config, scale=scaled.scale)
+    report = evaluate(_OracleModel(test_ds), test_ds, scaled.scale)
     assert report.rmse_scaled["x"] == 0.0
     assert report.rmse_raw["x"] == 0.0
 
@@ -327,7 +341,7 @@ def test_evaluate_perfect_oracle_zero_rmse():
 def test_evaluate_zero_model_matches_target_rms():
     config = TrainConfig(model="wavenet", target="x")
     _, test_ds, scaled = prepare_data(config)
-    report = evaluate(_ZeroModel(1), test_ds, config, scale=scaled.scale)
+    report = evaluate(_ZeroModel(1), test_ds, scaled.scale)
     expected = float(np.sqrt(np.mean(test_ds.targets[:, 0] ** 2)))
     assert abs(report.rmse_scaled["x"] - expected) < 1e-15
 

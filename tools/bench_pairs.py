@@ -21,14 +21,19 @@ operation or a failed harness check) and every raw result. With --claim it
 also states whether the claimed metric improved by the rule used to accept
 a claim: the change is better in at least 9 of 10 pairs, its median beats
 the parent's by more than the parent's interquartile range, and it has no
-more failed operations and no more incorrect runs than the parent. With or
-without --claim it judges regressions by the rule that rejects any change:
-on some workload, an end-to-end metric's median is worse than the parent's
-by more than that metric's `bound` (a fraction of the parent's median), or
-the change fails a larger share of its operations. A metric whose parent
-runs spread wider than its bound (an IQR above `bound` times the median) is
-marked unresolved, and not shown unchanged, unless every run of the change
-beats every run of the parent.
+more failed operations, incorrect runs or failed harness runs than the
+parent. With or without --claim it judges regressions by the rule that
+rejects any change: on some workload, an end-to-end metric's median is
+worse than the parent's by more than that metric's `bound` (a fraction of
+the parent's median), or the change fails a larger share of its operations.
+A metric whose parent runs spread wider than its bound (an IQR above
+`bound` times the median) is marked unresolved, and not shown unchanged,
+unless every run of the change beats every run of the parent.
+
+A harness run that exits non-zero does not end the session: it is recorded
+with its exit code and the tail of its standard error, a FAILED RUN line is
+printed, and its pair is left out of the summary, which counts the failed
+runs of each side. The script then exits 1 after writing the file.
 
 Standard library only.
 """
@@ -58,17 +63,18 @@ def schedule(workloads: list[str], pairs: int) -> list[tuple[int, str, str]]:
     return order
 
 
-def run_harness(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
-    """One harness run in `checkout`: its (record, result) lines."""
+def run_harness(checkout: Path, workload: str, seconds: float) -> dict:
+    """One harness run in `checkout`: its "record" and "result" lines, or,
+    when it exits non-zero or prints fewer than two lines, its "exit_code"
+    and the tail of its standard error as "stderr"."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise RuntimeError(f"{checkout}: {workload} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-2])["record"], json.loads(lines[-1])
+        return {"exit_code": proc.returncode, "stderr": proc.stderr.strip()[-500:]}
+    return {"record": json.loads(lines[-2])["record"], "result": json.loads(lines[-1])}
 
 
 def iqr(values: list[float]) -> float:
@@ -82,19 +88,22 @@ def iqr(values: list[float]) -> float:
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and metric: both medians, both best runs, the parent's
     IQR, the pairs the change won (a tie is not a win) and whether every run of the change
-    beats every run of the parent; plus, per side, the failed operations and
-    the runs whose result is not correct.
+    beats every run of the parent; plus, per side, the failed operations,
+    the runs whose result is not correct and the failed harness runs (runs
+    with no result). A pair that lacks a side's result is left out, and a
+    workload with no whole pair has no metric entries.
 
     `better` maps each metric to "lower" or "higher"."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by_pair = {}
         for run in runs:
-            if run["workload"] == workload:
+            if run["workload"] == workload and "result" in run:
                 by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
         paired = [sides for sides in by_pair.values() if len(sides) == 2]
         entry = {}
-        for metric, direction in better.items():
+        # a workload with no whole pair has nothing to compare
+        for metric, direction in (better if paired else {}).items():
             values = {side: [sides[side]["metrics"][metric]["value"] for sides in paired]
                       for side in SIDES}
             sign = 1.0 if direction == "lower" else -1.0
@@ -118,6 +127,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                                   for side in SIDES}
         entry["incorrect_runs"] = {side: sum(not sides[side]["correct"] for sides in paired)
                                    for side in SIDES}
+        entry["failed_runs"] = {side: sum(run["workload"] == workload and run["side"] == side
+                                          and "result" not in run for run in runs)
+                                for side in SIDES}
         summary[workload] = entry
     return summary
 
@@ -125,16 +137,19 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 def judge_claim(summary: dict, workload: str, metric: str, direction: str) -> dict:
     """The claim block: the metric's summary and whether the claim holds.
 
-    A gain does not count when the change fails more operations, or has
-    more incorrect runs, than the parent."""
+    A gain does not count when the change fails more operations, has more
+    incorrect runs or more failed harness runs than the parent, or when no
+    pair of the workload has both sides' results."""
     entry = summary[workload]
+    if metric not in entry:
+        return {"workload": workload, "metric": metric, "holds": False}
     stats = entry[metric]
     sign = 1.0 if direction == "lower" else -1.0
     gain = sign * (stats["parent_median"] - stats["change_median"])
     holds = (stats["change_better_pairs"] >= CLAIM_WIN_SHARE * stats["pairs"]
              and gain > stats["parent_iqr"]
              and all(entry[key]["change"] <= entry[key]["parent"]
-                     for key in ("failed_ops", "incorrect_runs")))
+                     for key in ("failed_ops", "incorrect_runs", "failed_runs")))
     return {"workload": workload, "metric": metric, **stats, "holds": holds}
 
 
@@ -153,6 +168,8 @@ def judge_regressions(summary: dict, better: dict[str, str],
     for workload, entry in summary.items():
         metrics = {}
         for metric, direction in better.items():
+            if metric not in entry:  # no whole pair to compare
+                continue
             parent, change = entry[metric]["parent_median"], entry[metric]["change_median"]
             worse = (change - parent) * (1.0 if direction == "lower" else -1.0)
             worse_by = worse / abs(parent) if parent else (math.inf if worse > 0 else 0.0)
@@ -209,9 +226,16 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
     runs, machine = [], None
     for pair, side, workload in schedule(workloads, args.pairs):
-        record, result = run_harness(checkouts[side], workload, seconds)
+        outcome = run_harness(checkouts[side], workload, seconds)
+        record = outcome.pop("record", None)
+        runs.append({"pair": pair, "side": side, "workload": workload, **outcome})
+        if record is None:  # a failed run is recorded and the session goes on
+            last = (outcome["stderr"].splitlines() or [""])[-1]
+            print(f"FAILED RUN pair {pair} {side} {workload}: exit "
+                  f"{outcome['exit_code']}: {last}", flush=True)
+            continue
         machine = machine or machine_block(record)
-        runs.append({"pair": pair, "side": side, "workload": workload, "result": result})
+        result = outcome["result"]
         print(f"pair {pair} {side:6s} {workload:12s} "
               f"op_s {result['metrics']['op_s']['value']:.3f}"
               f"{'' if result['correct'] else ' NOT CORRECT'}", flush=True)
@@ -221,7 +245,7 @@ def main(argv=None) -> int:
         workload, metric = args.claim.split(":")
         claim = judge_claim(summary, workload, metric, better[metric])
     for workload, entry in summary.items():
-        for metric in better:
+        for metric in [m for m in better if m in entry]:
             stats = entry[metric]
             print(f"{workload} {metric}: median {stats['parent_median']:.4g} -> "
                   f"{stats['change_median']:.4g}, best {stats['parent_best']:.4g} -> "
@@ -256,7 +280,10 @@ def main(argv=None) -> int:
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
-    return 0
+    n_failed = sum("result" not in run for run in runs)
+    if n_failed:
+        print(f"{n_failed} of {len(runs)} harness runs failed", file=sys.stderr)
+    return 1 if n_failed else 0
 
 
 if __name__ == "__main__":
