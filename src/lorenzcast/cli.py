@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: generate, train, eval, grad-check, reproduce. Every run
-writes a flat key=value metadata record that is itself a valid --config
-file, so any run can be replayed from its output directory alone. All
-file output is atomic (temp file + rename).
+Subcommands: generate, train, eval, grad-check, reproduce. generate,
+train and reproduce write a flat key=value metadata record, run_meta.txt;
+train's is itself a valid --config file, so a training run can be
+replayed from its output directory alone. All file output is atomic
+(temp file + rename).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (for reproduce:
 any failed run), 3 IO failure.

@@ -225,11 +225,11 @@ def make_windows(
     channel_names = SERIES_NAMES if conditional else (target,)
     target_names = SERIES_NAMES if multitask else (target,)
 
-    inputs = np.zeros((n, len(channel_names), window), dtype=np.float64)
-    for c, name in enumerate(channel_names):
-        padded = np.concatenate([np.zeros(window), series_set.series(name)])
-        for j in range(window):
-            inputs[:, c, j] = padded[j:j + n]
+    padded = np.pad(np.stack([series_set.series(name) for name in channel_names]),
+                    ((0, 0), (window, 0)))
+    # views[c, t] = padded[c, t:t + window]; the copy is (examples, channels, window)
+    views = np.lib.stride_tricks.sliding_window_view(padded, window, axis=1)
+    inputs = np.ascontiguousarray(views[:, :n].transpose(1, 0, 2))
     targets = np.stack(
         [series_set.series(name) for name in target_names], axis=1
     )

@@ -132,21 +132,16 @@ def wavenet_forward(inputs: np.ndarray, params: WaveNetParams):
             f"width {inputs.shape[2]} < receptive field {RECEPTIVE_FIELD}"
         )
     streams = [conv1d_forward(inputs[:, :, -RECEPTIVE_FIELD:], params.input_conv)]
-    relus, skip_ins = [], []
-    skip_sum = np.zeros((inputs.shape[0], cfg.stack_channels, 1), dtype=np.float64)
-    for conv, skip in zip(params.dilated, params.skips):
-        f = relu(conv1d_forward(streams[-1], conv))
-        tap = f[:, :, -1:]
-        skip_sum += conv1d_forward(tap, skip)
-        relus.append(f)
-        skip_ins.append(tap)
-        streams.append(streams[-1][:, :, 1::2] + f)
-    final_in = skip_sum + streams[-1]
-    preds = np.empty((inputs.shape[0], cfg.n_tasks), dtype=np.float64)
-    for j, head in enumerate(params.heads):
-        preds[:, j] = conv1d_forward(final_in, head)[:, 0, 0]
-    cache = (inputs, streams, relus, skip_ins, final_in)
-    return preds, cache
+    relus = []
+    for conv in params.dilated:
+        relus.append(relu(conv1d_forward(streams[-1], conv)))
+        streams.append(streams[-1][:, :, 1::2] + relus[-1])
+    # each skip tap reads its layer's last position; they add in layer order
+    final_in = sum(conv1d_forward(f[:, :, -1:], skip)
+                   for f, skip in zip(relus, params.skips)) + streams[-1]
+    preds = np.concatenate([conv1d_forward(final_in, head)[:, :, 0]
+                            for head in params.heads], axis=1)
+    return preds, (inputs, streams, relus, final_in)
 
 
 def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> np.ndarray:
@@ -155,22 +150,20 @@ def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> np.nd
     Accumulates parameter gradients and returns the input gradient, zero
     outside the receptive field.
     """
-    inputs, streams, relus, skip_ins, final_in = cache
+    inputs, streams, relus, final_in = cache
     if d_preds.shape != (inputs.shape[0], params.config.n_tasks):
         raise ShapeMismatch(
             f"d_preds shape {d_preds.shape} does not match predictions"
         )
-    b = inputs.shape[0]
-    d_final_in = np.zeros_like(final_in)
-    for j, head in enumerate(params.heads):
-        up = d_preds[:, j].reshape(b, 1, 1)
-        d_final_in += conv1d_backward(up, final_in, head)
+    d_final_in = sum(conv1d_backward(d_preds[:, j, None, None], final_in, head)
+                     for j, head in enumerate(params.heads))
 
-    d_stream = d_final_in  # final_in = skip_sum + the width-1 final stream
+    d_stream = d_final_in  # final_in = the skip taps + the width-1 final stream
     for l in reversed(range(N_LAYERS)):
         d_f = d_stream.copy()
-        d_f[:, :, -1:] += conv1d_backward(d_final_in, skip_ins[l], params.skips[l])
-        d_prev = conv1d_backward(d_f * relu_grad(relus[l]), streams[l], params.dilated[l])
+        d_f[:, :, -1:] += conv1d_backward(d_final_in, relus[l][:, :, -1:], params.skips[l])
+        d_f *= relu_grad(relus[l])
+        d_prev = conv1d_backward(d_f, streams[l], params.dilated[l])
         d_prev[:, :, 1::2] += d_stream  # adjoint of the residual's odd positions
         d_stream = d_prev
     d_inputs = np.zeros_like(inputs)

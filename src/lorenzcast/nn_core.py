@@ -169,8 +169,8 @@ def relu(x):
 
 
 def relu_grad(y):
-    # derivative at 0 defined as 0
-    return (y > 0).astype(np.float64)
+    # the mask y > 0: derivative at 0 defined as 0
+    return y > 0
 
 
 def sigmoid(x):
@@ -214,11 +214,10 @@ def conv1d_forward(inputs: np.ndarray, params: ConvLayerParams) -> np.ndarray:
     """
     out_w = _conv_check(inputs, params)
     s = params.stride
-    out = np.empty((inputs.shape[0], params.out_channels, out_w), dtype=np.float64)
-    out[:] = params.bias[None, :, None]
+    out = params.bias[:, None]
     for j in range(params.kernel_size):  # tap j reads inputs j, j+s, ...
-        out += np.einsum("bcw,oc->bow", inputs[:, :, j:j + s * out_w:s],
-                         params.kernel[:, :, j])
+        out = out + np.einsum("bcw,oc->bow", inputs[:, :, j:j + s * out_w:s],
+                              params.kernel[:, :, j])
     return out
 
 

@@ -144,7 +144,7 @@ class TrainConfig:
                 raise ValueError("need 3 positive task weights")
             if abs(sum(self.task_weights) - 1.0) > 1e-12:
                 raise ValueError("task weights must sum to 1")
-        if self.model == "ffn" and (self.conditional or self.multitask):
+        if self.model == "ffn" and self.conditional:
             raise ValueError("the feed-forward baseline is unconditional only")
 
     @property

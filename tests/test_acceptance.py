@@ -186,8 +186,10 @@ def test_criterion_4f_ffn_baseline():
 
 
 def test_criterion_4g_cell_runtime():
-    # every cell trained for the criteria above must finish inside 3 minutes
-    assert _WALLS, "no cells trained yet"
+    # every cell trained for the criteria above must finish inside 3 minutes;
+    # the grid's longest-trained cell (150 epochs) is requested first, so C4g
+    # also runs alone (after the criteria above it is cached and trains nothing)
+    _report(cell_config("wavenet-multitask-A", SEEDS[0], None))
     ok = max(_WALLS) < 180.0
     _line("C4g", ok,
           f"max observed cell wall time {max(_WALLS):.1f}s < 180s "

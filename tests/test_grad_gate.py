@@ -92,7 +92,7 @@ def test_zeroed_bias_gradient_fails(case, monkeypatch):
 
 def _backward_without_top_residual(d_preds, cache, params):
     """wavenet_backward with the top dilated layer's residual term dropped."""
-    inputs, streams, relus, skip_ins, final_in = cache
+    inputs, streams, relus, final_in = cache
     d_final_in = np.zeros_like(final_in)
     for j, head in enumerate(params.heads):
         up = d_preds[:, j].reshape(inputs.shape[0], 1, 1)
@@ -101,7 +101,7 @@ def _backward_without_top_residual(d_preds, cache, params):
     top = mz.N_LAYERS - 1
     for l in reversed(range(mz.N_LAYERS)):
         d_f = d_stream.copy()
-        d_f[:, :, -1:] += conv1d_backward(d_final_in, skip_ins[l], params.skips[l])
+        d_f[:, :, -1:] += conv1d_backward(d_final_in, relus[l][:, :, -1:], params.skips[l])
         d_prev = conv1d_backward(d_f * relu_grad(relus[l]), streams[l],
                                  params.dilated[l])
         if l != top:

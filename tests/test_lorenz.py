@@ -172,6 +172,23 @@ def test_windows_conditional_three_channels():
     assert ds.inputs.shape == (100, 3, 16)
 
 
+@pytest.mark.parametrize("conditional", [False, True])
+def test_windows_are_one_c_contiguous_array(conditional):
+    # the lstm's hoisted input projection rounds by operand layout, so the
+    # windows are one C-ordered (examples, channels, window) array
+    series = _series_set(40)
+    names = ("x", "y", "z") if conditional else ("z",)
+    ds = make_windows(series, window=7, conditional=conditional, target="z")
+    assert ds.inputs.shape == (40, len(names), 7)
+    assert ds.inputs.flags.c_contiguous and ds.inputs.dtype == np.float64
+    for c, name in enumerate(names):
+        padded = np.concatenate([np.zeros(7), series.series(name)])
+        for t in range(40):
+            assert np.array_equal(ds.inputs[t, c], padded[t:t + 7])
+    empty = make_windows(series[:0], window=7, conditional=conditional, target="z")
+    assert empty.inputs.shape == (0, len(names), 7)
+
+
 def test_windows_multitask_three_targets():
     ds = make_windows(_series_set(100), window=16, conditional=True,
                       multitask=True)

@@ -41,7 +41,7 @@ def test_receptive_field_default():
     assert [(c.kernel_size, c.stride) for c in params.dilated] == [(2, 2)] * 4
     # each stream holds only the readout's cone: 16 -> 8 -> 4 -> 2 -> 1
     _, cache = mz.wavenet_forward(np.zeros((1, 1, 20)), params)
-    _, streams, relus, _, _ = cache
+    _, streams, relus, _ = cache
     assert [s.shape[2] for s in streams] == [16, 8, 4, 2, 1]
     assert [f.shape[2] for f in relus] == [8, 4, 2, 1]
 

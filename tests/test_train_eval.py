@@ -223,8 +223,9 @@ def test_config_validation():
         TrainConfig(model="transformer")
     with pytest.raises(ValueError):
         TrainConfig(model="ffn", conditional=True)
-    with pytest.raises(ValueError):
-        TrainConfig(model="lstm", multitask=True, conditional=True)
+    for model in ("lstm", "ffn"):
+        with pytest.raises(ValueError, match="multitask heads are a wavenet variant"):
+            TrainConfig(model=model, multitask=True, conditional=True)
     with pytest.raises(ValueError):
         TrainConfig(model="wavenet", multitask=True)  # multitask is conditional
     with pytest.raises(ValueError):
