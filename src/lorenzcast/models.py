@@ -57,8 +57,9 @@ INIT_VARIANT = {"wavenet": "he", "lstm": "xavier", "ffn": "xavier"}
 
 
 class _Model:
-    """A family's parameter store and passes; forward returns (predictions,
-    cache), and predict is forward in evaluation mode, predictions only."""
+    """A family's parameter store and passes: forward returns (predictions,
+    cache), backward adds the parameter gradients, and predict is forward
+    in evaluation mode, predictions only."""
 
     def __init__(self, params: ParamStore):
         self.params = params
@@ -144,12 +145,9 @@ def wavenet_forward(inputs: np.ndarray, params: WaveNetParams):
     return preds, (inputs, streams, relus, final_in)
 
 
-def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> np.ndarray:
-    """Exact adjoint of wavenet_forward; gradients sum at every fan-out.
-
-    Accumulates parameter gradients and returns the input gradient, zero
-    outside the receptive field.
-    """
+def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> None:
+    """Exact adjoint of wavenet_forward: accumulates the parameter
+    gradients, which sum at every fan-out."""
     inputs, streams, relus, final_in = cache
     if d_preds.shape != (inputs.shape[0], params.config.n_tasks):
         raise ShapeMismatch(
@@ -166,10 +164,7 @@ def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> np.nd
         d_prev = conv1d_backward(d_f, streams[l], params.dilated[l])
         d_prev[:, :, 1::2] += d_stream  # adjoint of the residual's odd positions
         d_stream = d_prev
-    d_inputs = np.zeros_like(inputs)
-    d_inputs[:, :, -RECEPTIVE_FIELD:] = conv1d_backward(
-        d_stream, inputs[:, :, -RECEPTIVE_FIELD:], params.input_conv)
-    return d_inputs
+    conv1d_backward(d_stream, inputs[:, :, -RECEPTIVE_FIELD:], params.input_conv)
 
 
 class WaveNetModel(_Model):
@@ -177,7 +172,7 @@ class WaveNetModel(_Model):
         return wavenet_forward(batch, self.params)
 
     def backward(self, d_preds, cache):
-        return wavenet_backward(d_preds, cache, self.params)
+        wavenet_backward(d_preds, cache, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +228,12 @@ def lstm_model_forward(inputs: np.ndarray, params: LstmModelParams,
     return preds, cache
 
 
-def lstm_model_backward(d_preds: np.ndarray, cache, params: LstmModelParams):
-    """Adjoint of lstm_model_forward; returns d_inputs (batch, features, window)."""
+def lstm_model_backward(d_preds: np.ndarray, cache, params: LstmModelParams) -> None:
+    """Adjoint of lstm_model_forward; accumulates the parameter gradients."""
     caches, h_T, c_T, h_out, mask = cache
     d_h_out = dense_backward(d_preds, h_out, params.head)
     d_h_T = d_h_out if mask is None else d_h_out * mask
-    d_sequence, _, _ = lstm_sequence_backward(d_h_T, caches, params.cell)
-    return d_sequence.transpose(1, 2, 0)
+    lstm_sequence_backward(d_h_T, caches, params.cell)
 
 
 class LstmModel(_Model):
@@ -247,7 +241,7 @@ class LstmModel(_Model):
         return lstm_model_forward(batch, self.params, training, rng, h0, c0)
 
     def backward(self, d_preds, cache):
-        return lstm_model_backward(d_preds, cache, self.params)
+        lstm_model_backward(d_preds, cache, self.params)
 
     @staticmethod
     def carry_state(cache):
@@ -287,12 +281,12 @@ def ffn_forward(inputs: np.ndarray, params: FfnParams):
     return preds, (flat, hidden)
 
 
-def ffn_backward(d_preds: np.ndarray, cache, params: FfnParams):
-    """Adjoint of ffn_forward; returns d_inputs (batch, 1, 5)."""
+def ffn_backward(d_preds: np.ndarray, cache, params: FfnParams) -> None:
+    """Adjoint of ffn_forward; accumulates the parameter gradients."""
     flat, hidden = cache
     d_hidden = dense_backward(d_preds, hidden, params.out)
     d_pre = d_hidden * sigmoid_grad(hidden)
-    return dense_backward(d_pre, flat, params.hidden)[:, None]
+    dense_backward(d_pre, flat, params.hidden)
 
 
 class FfnModel(_Model):
@@ -300,4 +294,4 @@ class FfnModel(_Model):
         return ffn_forward(batch, self.params)
 
     def backward(self, d_preds, cache):
-        return ffn_backward(d_preds, cache, self.params)
+        ffn_backward(d_preds, cache, self.params)

@@ -174,10 +174,8 @@ def relu_grad(y):
 
 
 def sigmoid(x):
-    arr = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(arr))  # exp(-x) for x >= 0, exp(x) below: never overflows
-    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
-    return float(out) if arr.ndim == 0 else out
+    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_grad(y):
@@ -313,8 +311,8 @@ def lstm_cell_backward(dh, dc, cache, params: LstmCellParams, d_z):
 
     dh/dc are gradients w.r.t. h_t and c_t. Writes the step's gate
     pre-activation gradients, (4, batch, hidden) in LSTM_GATES order, into
-    d_z and returns (dh_prev, dc_prev). The parameter and input gradients
-    are left to lstm_sequence_backward, which forms them from d_z.
+    d_z and returns (dh_prev, dc_prev). The parameter gradients are left
+    to lstm_sequence_backward, which forms them from d_z.
     """
     c_prev, ifo, c_tilde, tanh_c = cache
     i, f, o = ifo
@@ -357,29 +355,26 @@ def lstm_sequence_forward(sequence, h0, c0, params: LstmCellParams):
     return h, c, (sequence, h_prevs, steps)
 
 
-def lstm_sequence_backward(dh_T, cache, params: LstmCellParams, dc_T=None):
-    """Backpropagation through time from gradients on the last hidden (and
-    cell) state; returns (d_sequence, dh0, dc0).
+def lstm_sequence_backward(dh_T, cache, params: LstmCellParams) -> None:
+    """Backpropagation through time from the gradient on the last hidden
+    state; accumulates the parameter gradients.
 
     The loop runs the recurrence's adjoint, t = T-1 ... 0, and collects each
     step's gate pre-activation gradients in one (seq_len, 4, batch, hidden)
-    buffer. The parameter and input gradients do not feed the recurrence,
-    so batched products form them after the loop. Each parameter gradient
+    buffer. The weight and bias gradients do not feed the recurrence, so
+    batched products form them after the loop. Each parameter gradient
     sums its per-step terms over t = T-1 ... 0, then adds that sum to
     params.grad: bit for bit a per-step accumulation from a zeroed gradient.
     """
     sequence, h_prevs, steps = cache
     d_z = np.empty((len(steps), 4, *dh_T.shape))
-    dh = dh_T
-    dc = np.zeros_like(dh_T) if dc_T is None else dc_T
+    dh, dc = dh_T, np.zeros_like(dh_T)
     for t in reversed(range(len(steps))):
         dh, dc = lstm_cell_backward(dh, dc, steps[t], params, d_z[t])
     d_z_t = d_z.transpose(0, 1, 3, 2)
     params.gWx4 += (d_z_t @ sequence[:, None])[::-1].sum(axis=0)
     params.gWh4 += (d_z_t @ np.stack(h_prevs)[:, None])[::-1].sum(axis=0)
     params.gb4 += d_z.sum(axis=2)[::-1].sum(axis=0)
-    d_sequence = (d_z @ params.Wx4).sum(axis=1)  # gates summed in i, f, o, c order
-    return d_sequence, dh, dc
 
 
 # ---------------------------------------------------------------------------

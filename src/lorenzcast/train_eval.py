@@ -338,8 +338,11 @@ class TrainResult:
     scale: dict = field(repr=False)
 
 
+# a diverging run ends in its finiteness checks, not in numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig) -> TrainResult:
-    """Full training run per the config; deterministic given the seed."""
+    """Full training run per the config; deterministic given the seed;
+    NonFinite if the training loss is not finite."""
     start = time.perf_counter()
     train_ds, test_ds, scaled = prepare_data(config)
     model = build_model(config)
@@ -410,8 +413,10 @@ def predict_dataset(model, dataset: WindowedDataset) -> np.ndarray:
     return preds
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(model, test_ds: WindowedDataset, scale: dict) -> EvalReport:
-    """Per-series test RMSE with minibatch size one, and its wall time.
+    """Per-series test RMSE with minibatch size one, and its wall time;
+    NonFinite if a series' RMSE is not finite.
 
     rmse_scaled is taken in the scaled [-0.5, 0.5] space; rmse_raw in the
     original space, after mapping both sides back through the series'
@@ -424,6 +429,8 @@ def evaluate(model, test_ds: WindowedDataset, scale: dict) -> EvalReport:
         p, t, tf = preds[:, j], test_ds.targets[:, j], scale[series]
         rmse_scaled[series] = rmse(p, t)
         rmse_raw[series] = rmse(tf.invert(p), tf.invert(t))
+        if not np.isfinite([rmse_scaled[series], rmse_raw[series]]).all():
+            raise NonFinite(f"test RMSE of series {series} is not finite")
     return EvalReport(rmse_scaled, rmse_raw, time.perf_counter() - start)
 
 

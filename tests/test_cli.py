@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -405,6 +406,50 @@ def test_eval_missing_run_dir_io_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# numerical failure: exit 2 and one stderr line, with no numpy warning
+
+
+def _main_without_warnings(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def _assert_one_line_numerical_failure(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("model", ["lstm", "wavenet"])
+def test_diverging_train_fails_in_one_line(tmp_path, capsys, model):
+    out = tmp_path / "run"
+    argv = ["train", "--model", model, "--learning-rate", "1e300", "--epochs", "1",
+            "--out", str(out)]
+    assert _main_without_warnings(argv) == cli.EXIT_NUMERIC
+    _assert_one_line_numerical_failure(capsys)
+    assert not out.exists()
+
+
+def test_eval_of_a_diverged_checkpoint_fails_in_one_line(tmp_path, capsys):
+    out = _train(tmp_path, "run", "--model", "ffn", "--epochs", "1")
+    ckpt = out / "checkpoint.csv"
+    header, *rows = _read_csv(ckpt)
+    rows = [header] + [[name, idx, repr(float(value) * 1e200)] for name, idx, value in rows]
+    ckpt.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert _main_without_warnings(["eval", "--run", str(out)]) == cli.EXIT_NUMERIC
+    _assert_one_line_numerical_failure(capsys)
+    assert not (out / "eval_report.csv").exists()
+
+
+def test_reproduce_marks_a_diverging_run_failed():
+    config = TrainConfig(model="lstm", learning_rate=1e300, epochs=1)
+    assert cli._reproduce_job(config) == "failed: test RMSE of series x is not finite"
+
+
+# ---------------------------------------------------------------------------
 # grad-check
 
 
@@ -432,9 +477,8 @@ def test_grad_check_corrupted_backward_fails(monkeypatch):
     real = mz.ffn_backward
 
     def corrupted(d_preds, cache, params):
-        out = real(d_preds, cache, params)
+        real(d_preds, cache, params)
         params.out.grads["weights"] += 1e-3  # deliberately wrong
-        return out
 
     monkeypatch.setattr(cli, "GRAD_CHECK_CASES", {"ffn": cli.GRAD_CHECK_CASES["ffn"]})
     monkeypatch.setattr(mz, "ffn_backward", corrupted)

@@ -50,9 +50,8 @@ def _plant(monkeypatch, family, mutate):
     real = getattr(mz, BACKWARD[family])
 
     def mutant(d_preds, cache, params):
-        d_in = real(d_preds, cache, params)
+        real(d_preds, cache, params)
         mutate(params)
-        return d_in
 
     monkeypatch.setattr(mz, BACKWARD[family], mutant)
 
@@ -107,10 +106,7 @@ def _backward_without_top_residual(d_preds, cache, params):
         if l != top:
             d_prev[:, :, 1::2] += d_stream
         d_stream = d_prev
-    d_inputs = np.zeros_like(inputs)
-    d_inputs[:, :, -mz.RECEPTIVE_FIELD:] = conv1d_backward(
-        d_stream, inputs[:, :, -mz.RECEPTIVE_FIELD:], params.input_conv)
-    return d_inputs
+    conv1d_backward(d_stream, inputs[:, :, -mz.RECEPTIVE_FIELD:], params.input_conv)
 
 
 @pytest.mark.parametrize("case", [c for c in CHEAP_CASES if c != "ffn"])

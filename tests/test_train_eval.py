@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorenzcast import cli
+from lorenzcast.lorenz import NonFinite
 from lorenzcast.nn_core import named_parameters
 from lorenzcast.optim import AdamState, adam_step
 from lorenzcast.train_eval import (
@@ -199,14 +200,14 @@ def test_prepare_data_no_look_ahead_and_real_test_history():
 @pytest.mark.parametrize("case", list(cli.GRAD_CHECK_CASES))
 def test_every_family_reads_the_dataset_layout(case):
     # a batch of the dataset's (batch, channels, window) inputs goes into
-    # every model as it is, and the input gradient comes back in that shape
+    # every model as it is, and its backward fills the parameter gradient
     config, _ = cli.GRAD_CHECK_CASES[case]
     train_ds, _, _ = prepare_data(config)
     model = build_model(config)
-    inputs = train_ds.inputs[:4]
-    preds, cache = model.forward(inputs)
+    preds, cache = model.forward(train_ds.inputs[:4])
     assert preds.shape == (4, 3 if config.multitask else 1)
-    assert model.backward(np.ones_like(preds), cache).shape == inputs.shape
+    assert model.backward(np.ones_like(preds), cache) is None
+    assert np.all(np.isfinite(model.params.grad)) and np.any(model.params.grad)
 
 
 def test_prepare_data_scaled_range():
@@ -345,6 +346,21 @@ def test_evaluate_zero_model_matches_target_rms():
     report = evaluate(_ZeroModel(1), test_ds, scaled.scale)
     expected = float(np.sqrt(np.mean(test_ds.targets[:, 0] ** 2)))
     assert abs(report.rmse_scaled["x"] - expected) < 1e-15
+
+
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+def test_evaluate_non_finite_rmse_names_the_series(value):
+    config = TrainConfig(model="wavenet", conditional=True, multitask=True)
+    _, test_ds, scaled = prepare_data(config)
+
+    class _DivergedY(_ZeroModel):
+        def predict(self, batch):
+            preds = super().predict(batch)
+            preds[:, 1] = value
+            return preds
+
+    with pytest.raises(NonFinite, match="series y"):
+        evaluate(_DivergedY(3), test_ds, scaled.scale)
 
 
 def test_results_grid_pins_the_tuned_multitask_cell():
