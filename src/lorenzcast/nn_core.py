@@ -61,13 +61,16 @@ class ParamStore:
         self.layout = [(f"{prefix}.{name}", shape)
                        for prefix, block in self.blocks
                        for name, shape in block.layout]
-        self.theta = np.concatenate([block.theta for _, block in self.blocks])
-        self.grad = np.zeros_like(self.theta)
-        offset = 0
-        for _, block in self.blocks:
-            end = offset + block.theta.size
-            block.bind(self.theta[offset:end], self.grad[offset:end])
-            offset = end
+        theta = np.concatenate([block.theta for _, block in self.blocks])
+        self.bind(theta, np.zeros_like(theta))
+
+    def bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Re-point every block at its slice of `theta` and `grad`."""
+        self.theta, self.grad = theta, grad
+        cuts = np.cumsum([block.theta.size for _, block in self.blocks[:-1]])
+        for (_, block), t, g in zip(self.blocks, np.split(theta, cuts),
+                                    np.split(grad, cuts)):
+            block.bind(t, g)
 
     def weights_with_fans(self) -> list[tuple[np.ndarray, int, int]]:
         """(array, fan_in, fan_out) of every weight array, in storage order."""

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lorenzcast import models as mz
@@ -198,9 +198,15 @@ def _full_width_forward(inputs, params):
     skip_sum = np.zeros((inputs.shape[0], params.config.stack_channels, 1))
     for l, (conv, skip) in enumerate(zip(params.dilated, params.skips)):
         f = relu(_dilated_forward(streams[-1], conv, 2 ** l))
-        skip_sum += conv1d_forward(f[:, :, -1:], skip)
+        # the cone stack's top tap is its whole width-1 relu output, a
+        # contiguous array; einsum sums its channels in an order that can
+        # depend on the operand's layout, so the reference taps the same one
+        tap = f[:, :, -1:]
+        if l == mz.N_LAYERS - 1:
+            tap = np.ascontiguousarray(tap)
+        skip_sum += conv1d_forward(tap, skip)
         relus.append(f)
-        skip_ins.append(f[:, :, -1:])
+        skip_ins.append(tap)
         streams.append(streams[-1][:, :, -f.shape[2]:] + f)
     final_in = skip_sum + streams[-1][:, :, -1:]
     preds = np.stack([conv1d_forward(final_in, head)[:, 0, 0]
@@ -230,12 +236,7 @@ def _complex_step_gradient(x, d_preds, params, h=1e-30):
     (Squire & Trapp 1998): one forward per entry on a copy of the store
     bound to a complex theta, each entry moved by i*h in turn."""
     store = mz.WaveNetParams(params.config)
-    store.theta = params.theta.astype(complex)
-    offset = 0
-    for _, block in store.blocks:
-        end = offset + block.theta.size
-        block.bind(store.theta[offset:end], store.grad[offset:end])
-        offset = end
+    store.bind(params.theta.astype(complex), store.grad)
     grad = np.empty(params.theta.size)
     for k in range(grad.size):
         store.theta[k] += 1j * h
@@ -248,6 +249,8 @@ def _complex_step_gradient(x, d_preds, params, h=1e-30):
 @given(batch=st.integers(1, 6), in_channels=st.integers(1, 3),
        stack_channels=st.integers(1, 4), n_tasks=st.integers(1, 3),
        window=st.integers(16, 40), seed=st.integers(0, 2 ** 32 - 1))
+# at this shape, einsum sums a strided top tap's channels in another order
+@example(batch=1, in_channels=1, stack_channels=4, n_tasks=2, window=37, seed=98382)
 def test_cone_stack_matches_full_width_reference(batch, in_channels, stack_channels,
                                                  n_tasks, window, seed):
     rng = np.random.default_rng(seed)
@@ -258,13 +261,11 @@ def test_cone_stack_matches_full_width_reference(batch, in_channels, stack_chann
 
     preds, cache = mz.wavenet_forward(x, params)
     ref_preds, ref_cache = _full_width_forward(x, params)
-    # every stream and relu output agrees bit for bit at the readout position
+    assert np.array_equal(preds, ref_preds)
+    # so does every stream and relu output at the readout position
     (_, streams, relus, _), (_, ref_streams, ref_relus, _, _) = cache, ref_cache
     for ours, ref in zip(streams + relus, ref_streams + ref_relus):
         assert np.array_equal(ours[:, :, -1], ref[:, :, -1])
-    # the top skip tap reads a contiguous (batch, channels, 1) array here and
-    # a strided slice there, and einsum may sum its channels in another order
-    assert np.all(np.abs(preds - ref_preds) <= 1e-15 + 1e-13 * np.abs(ref_preds))
     zero_grads(params)
     mz.wavenet_backward(d_preds, cache, params)
     grad = params.grad.copy()
