@@ -31,8 +31,10 @@ from .nn_core import (
     ShapeMismatch,
     conv1d_backward,
     conv1d_forward,
+    conv1d_param_grads,
     dense_backward,
     dense_forward,
+    dense_param_grads,
     lstm_sequence_backward,
     lstm_sequence_forward,
     param_count,
@@ -164,7 +166,8 @@ def wavenet_backward(d_preds: np.ndarray, cache, params: WaveNetParams) -> None:
         d_prev = conv1d_backward(d_f, streams[l], params.dilated[l])
         d_prev[:, :, 1::2] += d_stream  # adjoint of the residual's odd positions
         d_stream = d_prev
-    conv1d_backward(d_stream, inputs[:, :, -RECEPTIVE_FIELD:], params.input_conv)
+    # nothing reads the input conv's input gradient
+    conv1d_param_grads(d_stream, inputs[:, :, -RECEPTIVE_FIELD:], params.input_conv)
 
 
 class WaveNetModel(_Model):
@@ -286,7 +289,7 @@ def ffn_backward(d_preds: np.ndarray, cache, params: FfnParams) -> None:
     flat, hidden = cache
     d_hidden = dense_backward(d_preds, hidden, params.out)
     d_pre = d_hidden * sigmoid_grad(hidden)
-    dense_backward(d_pre, flat, params.hidden)
+    dense_param_grads(d_pre, flat, params.hidden)  # nothing reads d_flat
 
 
 class FfnModel(_Model):

@@ -222,14 +222,11 @@ def conv1d_forward(inputs: np.ndarray, params: ConvLayerParams) -> np.ndarray:
     return out
 
 
-def conv1d_backward(
+def conv1d_param_grads(
     upstream: np.ndarray, inputs: np.ndarray, params: ConvLayerParams
-) -> np.ndarray:
-    """Exact adjoint of conv1d_forward.
-
-    Accumulates kernel/bias gradients into params.grads and returns the
-    gradient with respect to the inputs (same shape as `inputs`).
-    """
+) -> None:
+    """The parameter half of conv1d_backward: accumulates the kernel and
+    bias gradients into params.grads and forms no input gradient."""
     out_w = _conv_check(inputs, params)
     out_shape = (inputs.shape[0], params.out_channels, out_w)
     if upstream.shape != out_shape:
@@ -238,11 +235,31 @@ def conv1d_backward(
         )
     params.grads["bias"] += upstream.sum(axis=(0, 2))
     s = params.stride
-    d_input = np.zeros_like(inputs)
+    # one contraction per tap: merging the taps sums in another order
     for j in range(params.kernel_size):
-        tap = (slice(None), slice(None), slice(j, j + s * out_w, s))
-        params.grads["kernel"][:, :, j] += np.einsum("bow,bcw->oc", upstream, inputs[tap])
-        d_input[tap] += np.einsum("bow,oc->bcw", upstream, params.kernel[:, :, j])
+        params.grads["kernel"][:, :, j] += np.einsum(
+            "bow,bcw->oc", upstream, inputs[:, :, j:j + s * out_w:s])
+
+
+def conv1d_backward(
+    upstream: np.ndarray, inputs: np.ndarray, params: ConvLayerParams
+) -> np.ndarray:
+    """Exact adjoint of conv1d_forward.
+
+    Accumulates kernel/bias gradients into params.grads and returns the
+    gradient with respect to the inputs (same shape as `inputs`). One
+    contraction forms every tap's input adjoint; when the taps tile the
+    input (stride == kernel_size and no trailing positions), they are the
+    input gradient as laid out, else they add into zeros tap by tap.
+    """
+    conv1d_param_grads(upstream, inputs, params)
+    k, s, out_w = params.kernel_size, params.stride, upstream.shape[2]
+    d_taps = np.einsum("bow,ocj->bcwj", upstream, params.kernel)
+    if s == k and s * out_w == inputs.shape[2]:
+        return d_taps.reshape(inputs.shape)
+    d_input = np.zeros_like(inputs)
+    for j in range(k):
+        d_input[:, :, j:j + s * out_w:s] += d_taps[..., j]
     return d_input
 
 
@@ -260,9 +277,11 @@ def dense_forward(inputs: np.ndarray, params: DenseParams) -> np.ndarray:
     return inputs @ params.weights + params.bias
 
 
-def dense_backward(
+def dense_param_grads(
     upstream: np.ndarray, inputs: np.ndarray, params: DenseParams
-) -> np.ndarray:
+) -> None:
+    """The parameter half of dense_backward: accumulates the weight and
+    bias gradients into params.grads and forms no input gradient."""
     if upstream.shape != (inputs.shape[0], params.weights.shape[1]):
         raise ShapeMismatch(
             f"upstream shape {upstream.shape} does not match output "
@@ -270,6 +289,12 @@ def dense_backward(
         )
     params.grads["weights"] += inputs.T @ upstream
     params.grads["bias"] += upstream.sum(axis=0)
+
+
+def dense_backward(
+    upstream: np.ndarray, inputs: np.ndarray, params: DenseParams
+) -> np.ndarray:
+    dense_param_grads(upstream, inputs, params)
     return upstream @ params.weights.T
 
 

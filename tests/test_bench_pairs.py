@@ -274,3 +274,26 @@ def test_main_records_a_failed_run_and_goes_on(tmp_path, monkeypatch, capsys):
     assert written["summary"]["w"]["failed_runs"] == {"parent": 0, "change": 1}
     assert {"pair": 2, "side": "change", "workload": "w", "exit_code": 2,
             "stderr": "Traceback ...\nBenchError: boom"} in written["runs"]
+
+
+@pytest.mark.parametrize("claim", ["wavenet_cell-op_s", "wavenet:op_s",
+                                   "wavenet_cell:ops", "wavenet_cell:op_s:x"])
+def test_a_bad_claim_is_a_usage_error_before_any_run(claim, tmp_path, monkeypatch,
+                                                     capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "wavenet_cell"}],
+        "end_to_end": [{"name": "op_s", "better": "lower", "bound": 0.25}]}))
+
+    def never(checkout, workload, seconds):
+        raise AssertionError("the harness ran before --claim was checked")
+
+    monkeypatch.setattr(bench_pairs, "run_harness", never)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", "p", "--change", str(tmp_path), "--label", "t"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv + ["--claim", claim])
+    assert exc.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+    assert not list(tmp_path.glob("BENCH_*.json"))
+    assert bench_pairs.parse_args(argv + ["--claim", "wavenet_cell:op_s"]).claim == (
+        "wavenet_cell", "op_s")

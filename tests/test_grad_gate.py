@@ -114,3 +114,12 @@ def test_dropped_residual_term_fails(case, monkeypatch):
     monkeypatch.setattr(mz, "wavenet_backward", _backward_without_top_residual)
     for seed in MUTANT_SEEDS:
         assert _error_ratio(case, seed) >= 1.0, seed
+
+
+@pytest.mark.parametrize("case", [c for c in CHEAP_CASES if c != "ffn"])
+def test_dropped_input_conv_gradient_fails(case, monkeypatch):
+    # wavenet_backward's one direct conv1d_param_grads call is the input
+    # conv's; the stack's other convs reach it through conv1d_backward
+    monkeypatch.setattr(mz, "conv1d_param_grads", lambda upstream, inputs, params: None)
+    for seed in MUTANT_SEEDS:
+        assert _error_ratio(case, seed) >= 1.0, seed

@@ -12,8 +12,10 @@ from lorenzcast.nn_core import (
     ShapeMismatch,
     conv1d_backward,
     conv1d_forward,
+    conv1d_param_grads,
     dense_backward,
     dense_forward,
+    dense_param_grads,
     grad_check,
     load_params_csv,
     lstm_cell_forward,
@@ -210,6 +212,60 @@ def test_conv_adjoint_consistency(seed, batch, out_c, in_c, k, stride, extra):
     kernel_side = float(np.sum(params.kernel * params.grads["kernel"]))
     assert abs(forward_side - kernel_side) <= 1e-13 * scale
     assert np.array_equal(params.grads["bias"], u.sum(axis=(0, 2)))
+
+
+def _per_tap_conv_backward(upstream, inputs, params):
+    """conv1d_backward as one kernel-gradient and one input-adjoint
+    contraction per tap, the input adjoints added into zeros."""
+    s, out_w = params.stride, upstream.shape[2]
+    params.grads["bias"] += upstream.sum(axis=(0, 2))
+    d_input = np.zeros_like(inputs)
+    for j in range(params.kernel_size):
+        tap = (slice(None), slice(None), slice(j, j + s * out_w, s))
+        params.grads["kernel"][:, :, j] += np.einsum("bow,bcw->oc", upstream, inputs[tap])
+        d_input[tap] += np.einsum("bow,oc->bcw", upstream, params.kernel[:, :, j])
+    return d_input
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 5),
+       out_c=st.integers(1, 4), in_c=st.integers(1, 4), k=st.integers(1, 4),
+       stride=st.integers(1, 4), tile=st.booleans(), out_w=st.integers(1, 9),
+       extra=st.integers(1, 3), offset=st.integers(0, 2),
+       zero=st.sampled_from([0.0, -0.0]), zero_share=st.sampled_from([0.0, 0.4, 1.0]))
+@example(seed=0, batch=32, out_c=3, in_c=3, k=2, stride=2, tile=True, out_w=8,
+         extra=1, offset=0, zero=0.0, zero_share=0.0)  # a dilated layer of the stack
+def test_conv_backward_matches_per_tap_reference_bitwise(
+        seed, batch, out_c, in_c, k, stride, tile, out_w, extra, offset, zero,
+        zero_share):
+    # a tiling conv (stride == k, no trailing positions) returns its merged
+    # taps as laid out, any other one adds them into zeros; both, and the
+    # parameter gradients, must keep the per-tap loop's bits, signed zeros
+    # included. The input is a strided view when offset > 0, as the stack's are.
+    if tile:
+        stride, extra = k, 0
+    rng = np.random.default_rng(seed)
+    width = k + stride * (out_w - 1) + extra
+    x = rng.normal(size=(batch, in_c, offset + width))[:, :, offset:]
+    u = rng.normal(size=(batch, out_c, (width - k) // stride + 1))
+    u[rng.random(u.shape) < zero_share] = zero
+    kernel, bias = rng.normal(size=(out_c, in_c, k)), rng.normal(size=out_c)
+    prior = rng.normal(size=kernel.size + bias.size)  # gradients accumulate
+    ref, new, params_only = (_conv(out_c, in_c, k, stride, kernel, bias)
+                             for _ in range(3))
+    for p in (ref, new, params_only):
+        p.grad[...] = prior
+    d_ref = _per_tap_conv_backward(u, x, ref)
+    d_new = conv1d_backward(u, x, new)
+    assert d_new.shape == x.shape
+    assert np.array_equal(_bits(d_new), _bits(d_ref))
+    assert np.array_equal(_bits(new.grad), _bits(ref.grad))
+    assert conv1d_param_grads(u, x, params_only) is None
+    assert np.array_equal(_bits(params_only.grad), _bits(ref.grad))
 
 
 # ---------------------------------------------------------------------------

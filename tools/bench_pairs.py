@@ -22,10 +22,12 @@ also states whether the claimed metric improved by the rule used to accept
 a claim: the change is better in at least 9 of 10 pairs, its median beats
 the parent's by more than the parent's interquartile range, and it has no
 more failed operations, incorrect runs or failed harness runs than the
-parent. With or without --claim it judges regressions by the rule that
-rejects any change: on some workload, an end-to-end metric's median is
-worse than the parent's by more than that metric's `bound` (a fraction of
-the parent's median), or the change fails a larger share of its operations.
+parent. A --claim whose workload or metric the change's BENCHMARK.json
+does not declare is a usage error before the first run. With or without
+--claim it judges regressions by the rule that rejects any change: on
+some workload, an end-to-end metric's median is worse than the parent's
+by more than that metric's `bound` (a fraction of the parent's median),
+or the change fails a larger share of its operations.
 A metric whose parent runs spread wider than its bound (an IQR above
 `bound` times the median) is marked unresolved, and not shown unchanged,
 unless every run of the change beats every run of the parent.
@@ -205,7 +207,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def declared_benchmark(checkout: Path) -> dict:
+    return json.loads((checkout / "BENCHMARK.json").read_text())
+
+
 def parse_args(argv=None):
+    """The parsed arguments, with --claim as a (workload, metric) pair that
+    the change's BENCHMARK.json declares, checked before any run."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
@@ -213,12 +221,22 @@ def parse_args(argv=None):
     parser.add_argument("--pairs", type=positive_int, default=10)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
     parser.add_argument("--what", default="")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.claim is not None:
+        workload, sep, metric = args.claim.partition(":")
+        declared = declared_benchmark(args.change)
+        workloads = [w["name"] for w in declared["workloads"]]
+        metrics = [m["name"] for m in declared["end_to_end"]]
+        if not sep or workload not in workloads or metric not in metrics:
+            parser.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC with a "
+                         f"workload of {workloads} and an end-to-end metric of {metrics}")
+        args.claim = (workload, metric)
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    declared = declared_benchmark(args.change)
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
@@ -242,7 +260,7 @@ def main(argv=None) -> int:
     summary = summarize(runs, better)
     claim = None
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, metric = args.claim
         claim = judge_claim(summary, workload, metric, better[metric])
     for workload, entry in summary.items():
         for metric in [m for m in better if m in entry]:
