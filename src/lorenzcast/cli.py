@@ -134,8 +134,10 @@ def read_meta(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                record[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key in record:
+                    raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
+                record[key] = value
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: {exc}") from None
     return record

@@ -1,17 +1,20 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each criterion prints one [PASS]/[FAIL] line (visible with pytest -s).
-The results criteria train cells of train_eval.RESULTS_GRID, the grid that
-`lorenzcast reproduce` runs. Trained cells are cached per config, so the
-full gate runs each training once. Expect a few minutes of wall time for
-the results criteria.
+The results criteria C4a-C4g and C7 are `criteria` of tools/margins.py,
+applied to the runs.csv rows of the runs they read. A module-scoped fixture
+trains those runs, each config once, on the runner that `lorenzcast
+reproduce` uses, so the first results criterion to run trains all of them.
+Expect about a minute of wall time on two cores.
 """
 
-import functools
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lorenzcast import cli
 from lorenzcast import models as mz
@@ -24,16 +27,11 @@ from lorenzcast.lorenz import (
     make_windows,
 )
 from lorenzcast.nn_core import conv1d_forward, named_parameters
-from lorenzcast.train_eval import (
-    TrainConfig,
-    cell_config,
-    make_batches,
-    prepare_data,
-    train_and_evaluate,
-)
+from lorenzcast.train_eval import RESULTS_GRID, cell_config, make_batches
 
-SEEDS = (1234, 1235, 42)
-_WALLS: list[float] = []  # wall seconds of every trained cell in this session
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import margins  # noqa: E402
 
 
 def _line(criterion, ok, detail):
@@ -41,19 +39,27 @@ def _line(criterion, ok, detail):
     assert ok, f"{criterion}: {detail}"
 
 
-@functools.lru_cache(maxsize=None)
-def _report(config: TrainConfig):
-    _, report = train_and_evaluate(config)
-    _WALLS.append(report.wall_seconds)
-    return report
+@pytest.fixture(scope="module")
+def verdicts():
+    """margins.criteria over the runs.csv rows of every run the results
+    criteria read, each config trained once on reproduce's runner with
+    reproduce's default worker count."""
+    cells = {}  # config -> its cell; the multitask cell's run has no target
+    for cell, series, seed in margins.gate_runs():
+        target = series if series in RESULTS_GRID[cell][1] else None
+        cells.setdefault(cell_config(cell, seed, target), cell)
+    configs = list(cells)
+    workers = cli.build_parser().parse_args(["reproduce"]).workers
+    rows = []
+    for i, outcome in cli._finished_runs(configs, workers):
+        rows += [{"cell": cells[configs[i]], **row}
+                 for row in cli._run_rows(configs[i], outcome)]
+    return margins.criteria(rows)
 
 
-def _best_over_seeds(cell, series):
-    values = {}
-    for seed in SEEDS:
-        report = _report(cell_config(cell, seed, series))
-        values[seed] = report.rmse_scaled[series]
-    return min(values.values()), values
+def _judge(verdicts, criterion):
+    verdict = verdicts[criterion]
+    _line(criterion, verdict.ok, verdict.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -110,90 +116,34 @@ def test_criterion_3_parameter_counts():
 # criterion 4: results-table reproduction at desk scale
 
 
-def test_criterion_4a_unconditional_wavenet_x():
-    best, values = _best_over_seeds("wavenet-unconditional-A", "x")
-    _line("C4a", best <= 0.015,
-          f"unconditional wavenet A x best={best:.5f} <= 0.015 ({values})")
+def test_criterion_4a_unconditional_wavenet_x(verdicts):
+    _judge(verdicts, "C4a")
 
 
-def test_criterion_4b_conditional_wavenet_scenario_a():
-    bounds = {"x": 0.005, "y": 0.03, "z": 0.02}
-    bests = {}
-    ok = True
-    for series, bound in bounds.items():
-        best, _ = _best_over_seeds("wavenet-conditional-A", series)
-        bests[series] = best
-        ok &= best <= bound
-    _line("C4b", ok,
-          "conditional wavenet A best " +
-          ", ".join(f"{s}={bests[s]:.5f} (<= {bounds[s]})" for s in bounds))
+def test_criterion_4b_conditional_wavenet_scenario_a(verdicts):
+    _judge(verdicts, "C4b")
 
 
-def test_criterion_4c_conditional_lstm_scenario_a():
-    bests = {}
-    ok = True
-    for series in ("x", "y", "z"):
-        best, _ = _best_over_seeds("lstm-conditional-A", series)
-        bests[series] = best
-        ok &= best <= 0.01
-    _line("C4c", ok,
-          "conditional lstm A best " +
-          ", ".join(f"{s}={v:.5f}" for s, v in bests.items()) + " (each <= 0.01)")
+def test_criterion_4c_conditional_lstm_scenario_a(verdicts):
+    _judge(verdicts, "C4c")
 
 
-def test_criterion_4d_scenario_b_conditional_models():
-    ok = True
-    details = []
-    for model in ("wavenet", "lstm"):
-        for series in ("x", "y", "z"):
-            best, _ = _best_over_seeds(f"{model}-conditional-B", series)
-            ok &= best <= 0.04
-            details.append(f"{model}-{series}={best:.5f}")
-    _line("C4d", ok, "scenario B best " + ", ".join(details) + " (each <= 0.04)")
+def test_criterion_4d_scenario_b_conditional_models(verdicts):
+    _judge(verdicts, "C4d")
 
 
-def test_criterion_4e_multitask_beats_conditional_z():
-    wins = 0
-    details = []
-    for seed in SEEDS:
-        multi = _report(cell_config("wavenet-multitask-A", seed, None))
-        single = _report(cell_config("wavenet-conditional-A", seed, "z"))
-        m, s = multi.rmse_scaled["z"], single.rmse_scaled["z"]
-        wins += m < s
-        details.append(f"seed {seed}: {m:.5f} vs {s:.5f}")
-    _line("C4e", wins >= 2,
-          f"multitask z strictly below conditional z in {wins}/3 seeds "
-          f"({'; '.join(details)})")
+def test_criterion_4e_multitask_beats_conditional_z(verdicts):
+    _judge(verdicts, "C4e")
 
 
-def test_criterion_4f_ffn_baseline():
-    ffn_bests = {}
-    for series in ("x", "y", "z"):
-        ffn_bests[series], _ = _best_over_seeds("ffn-baseline-A", series)
-    ffn_avg = float(np.mean(list(ffn_bests.values())))
-
-    def deep_avg(model):
-        vals = [_best_over_seeds(f"{model}-conditional-A", s)[0]
-                for s in ("x", "y", "z")]
-        return float(np.mean(vals))
-
-    wavenet_avg = deep_avg("wavenet")
-    lstm_avg = deep_avg("lstm")
-    ok = ffn_avg <= 0.15 and ffn_avg > wavenet_avg and ffn_avg > lstm_avg
-    _line("C4f", ok,
-          f"ffn avg={ffn_avg:.5f} (<= 0.15), wavenet avg={wavenet_avg:.5f}, "
-          f"lstm avg={lstm_avg:.5f} (ffn strictly worse than both)")
+def test_criterion_4f_ffn_baseline(verdicts):
+    _judge(verdicts, "C4f")
 
 
-def test_criterion_4g_cell_runtime():
-    # every cell trained for the criteria above must finish inside 3 minutes;
-    # the grid's longest-trained cell (150 epochs) is requested first, so C4g
-    # also runs alone (after the criteria above it is cached and trains nothing)
-    _report(cell_config("wavenet-multitask-A", SEEDS[0], None))
-    ok = max(_WALLS) < 180.0
-    _line("C4g", ok,
-          f"max observed cell wall time {max(_WALLS):.1f}s < 180s "
-          f"over {len(_WALLS)} runs")
+def test_criterion_4g_cell_runtime(verdicts):
+    # every run the gate trains finishes inside 3 minutes, measured in the
+    # worker that trained it; run alone, C4g trains all of them
+    _judge(verdicts, "C4g")
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +239,5 @@ def test_criterion_6_property_suites():
 # criterion 7: conditioning helps (directional, same seed)
 
 
-def test_criterion_7_conditioning_helps():
-    seed = 1234
-    details = []
-    ok = True
-    for model in ("wavenet", "lstm"):
-        improved = []
-        for series in ("x", "y", "z"):
-            uncond = _report(cell_config(f"{model}-unconditional-A", seed,
-                                         series))
-            cond = _report(cell_config(f"{model}-conditional-A", seed, series))
-            if cond.rmse_scaled[series] < uncond.rmse_scaled[series]:
-                improved.append(series)
-        ok &= bool(improved)
-        details.append(f"{model}: improved {improved or 'none'}")
-    _line("C7", ok, f"seed {seed}: " + "; ".join(details))
+def test_criterion_7_conditioning_helps(verdicts):
+    _judge(verdicts, "C7")

@@ -18,7 +18,7 @@ import lorenzcast
 from lorenzcast import cli, train_eval
 from lorenzcast import models as mz
 from lorenzcast.lorenz import NonFinite
-from lorenzcast.train_eval import TrainConfig
+from lorenzcast.train_eval import EvalReport, TrainConfig
 
 
 def _read_csv(path):
@@ -179,6 +179,18 @@ def test_train_rejects_unknown_config_key(tmp_path):
     config.write_text("model = ffn\nbogus_knob = 3\n")
     assert cli.main(["train", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 1
+
+
+def test_train_rejects_a_repeated_config_key(tmp_path, capsys):
+    # the last of two seed lines used to win silently
+    config = tmp_path / "twice.cfg"
+    config.write_text("model = ffn\nepochs = 1\nseed = 1\nseed = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) \
+        == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: {config}:4: repeated key 'seed'\n"
+    assert not out.exists()
 
 
 def test_train_report_matches_eval_of_checkpoint(tmp_path):
@@ -793,6 +805,21 @@ def test_config_record_round_trips_through_meta(tmp_path, config):
     path = tmp_path / "meta.txt"
     cli.write_meta(path, {"command": "train", **cli.config_record(config)})
     assert cli.config_from_record(cli.read_meta(path)) == config
+
+
+@given(config=_train_configs(),
+       rmse=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=6, max_size=6))
+def test_run_rows_parse_back_to_the_reports_floats(config, rmse):
+    # what the acceptance criteria compare, read back from runs.csv text, is
+    # the report's float to the bit
+    report = EvalReport(dict(zip("xyz", rmse[:3])), dict(zip("xyz", rmse[3:])), 1.0)
+    rows = cli._run_rows(config, report)
+    assert [row["series"] for row in rows] == list(cli._run_series(config))
+    for row in rows:
+        for column, values in (("rmse_scaled", report.rmse_scaled),
+                               ("rmse_raw", report.rmse_raw)):
+            assert float(row[column]).hex() == values[row["series"]].hex()
 
 
 def _flags(record):
